@@ -736,13 +736,10 @@ def _packed_replay_stream():
     return stream
 
 
-def _bench_packed(repeat: int) -> dict:
-    """The packed replay engine ladder on one tape.
-
-    Times the same single-processor replay on every available backend
-    (python reference loop, numpy vector tier, native C tier) and
-    cross-checks that all of them produce bit-identical statistics.
-    ``speedup`` entries are relative to the python loop.
+def _race_engines(config, app, repeat: int) -> dict:
+    """Best-of-``repeat`` replay rate of ``app`` on every available
+    backend, cross-checked for bit-identical statistics.  ``speedup``
+    entries are relative to the python loop.
 
     One untimed warmup replay precedes the timed repeats: sweeps
     replay each recorded tape once per ladder rung, so the number that
@@ -751,10 +748,6 @@ def _bench_packed(repeat: int) -> dict:
     """
     import time
     from .trace.engine import available_backends
-    from .trace.record import ReplayApplication
-    config = SystemConfig.paper_multiprogramming(1, scc_size=16 * KB)
-    stream = _packed_replay_stream()
-    app = ReplayApplication({0: stream}, name="bench-packed")
     backends = available_backends()
     if "python" not in backends:
         backends.append("python")
@@ -775,18 +768,53 @@ def _bench_packed(repeat: int) -> dict:
             raise AssertionError(
                 f"backend {name} diverges from {backends[0]}")
         rates[name] = result.events_processed / best
-    report = {
-        "workload": "synthetic cache-resident replay "
-                    "(1 processor, 16KB SCC, one packed chunk)",
-        "events": reference.events_processed,
-        "repeats": repeat,
-    }
+    row = {"events": reference.events_processed}
     python_rate = rates["python"]
     for name, rate in rates.items():
-        report[f"{name}_events_per_s"] = int(rate)
+        row[f"{name}_events_per_s"] = int(rate)
         if name != "python":
-            report[f"{name}_speedup"] = round(rate / python_rate, 2)
-    return report
+            row[f"{name}_speedup"] = round(rate / python_rate, 2)
+    return row
+
+
+def _recorded_barnes_hut_tape():
+    """The quick-profile Barnes-Hut tape at 8 processors per cluster and
+    a (paper) 8KB SCC: a switch- and miss-heavy real workload, recorded
+    once per bench run."""
+    from .experiments import PROFILES, SweepSpec
+    from .trace.record import StreamRecorder
+    profile = PROFILES["quick"]
+    config = SweepSpec.parallel("barnes-hut", profile=profile,
+                                ladder=(8 * KB,), procs=(8,)
+                                ).configs()[(8, 8 * KB)]
+    recorder = StreamRecorder(profile.workload("barnes-hut"))
+    run_simulation(config, recorder)
+    return config, recorder.streams
+
+
+def _bench_packed(repeat: int) -> dict:
+    """The packed replay engines raced on two tapes.
+
+    ``micro`` is a synthetic cache-resident uniprocessor loop: it
+    isolates the hit path and says little about real workloads.
+    ``barnes_hut_8p_8kb`` is a recorded paper workload whose time goes
+    to process switches and the snoopy miss path.
+    """
+    from .trace.record import ReplayApplication
+    micro = _race_engines(
+        SystemConfig.paper_multiprogramming(1, scc_size=16 * KB),
+        ReplayApplication({0: _packed_replay_stream()},
+                          name="bench-packed"), repeat)
+    micro.update(kind="micro-benchmark",
+                 workload="synthetic cache-resident replay "
+                          "(1 processor, 16KB SCC, one packed chunk)")
+    config, streams = _recorded_barnes_hut_tape()
+    tape = _race_engines(config, ReplayApplication(streams, name="bench"),
+                         repeat)
+    tape.update(kind="recorded tape",
+                workload="Barnes-Hut quick profile, 8 processors per "
+                         "cluster, 8KB SCC (paper bytes)")
+    return {"micro": micro, "barnes_hut_8p_8kb": tape, "repeats": repeat}
 
 
 def _bench_sweep(repeat: int, backend: Optional[str] = None) -> dict:
@@ -1023,16 +1051,19 @@ def _cmd_bench(args) -> int:
         print(f"  speedup         : {point['speedup']:.2f}x")
     if args.scenario in ("all", "packed"):
         print("timing packed replay engines "
-              "(python vs numpy vs native on one tape)...")
+              "(python vs numpy vs native on two tapes)...")
         report["packed_engines"] = packed = _bench_packed(args.repeat)
-        print(f"  events          : {packed['events']:,}")
-        for name in ("python", "numpy", "native"):
-            rate = packed.get(f"{name}_events_per_s")
-            if rate is None:
-                continue
-            extra = (f" ({packed[f'{name}_speedup']:.1f}x)"
-                     if name != "python" else "")
-            print(f"  {name:<16}: {rate:,} events/s{extra}")
+        for key in ("micro", "barnes_hut_8p_8kb"):
+            row = packed[key]
+            print(f"  {row['kind']}: {row['workload']}, "
+                  f"{row['events']:,} events")
+            for name in ("python", "numpy", "native"):
+                rate = row.get(f"{name}_events_per_s")
+                if rate is None:
+                    continue
+                extra = (f" ({row[f'{name}_speedup']:.1f}x)"
+                         if name != "python" else "")
+                print(f"    {name:<14}: {rate:,} events/s{extra}")
     if args.scenario in ("all", "sweep"):
         print("timing multiprogramming sweep "
               "(trace-cached vs instrumented resimulation)...")

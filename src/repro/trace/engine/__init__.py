@@ -10,15 +10,17 @@ interchangeable implementations ("backends", psim's ``EVAL_MODE`` pattern):
   (:mod:`repro.trace.engine.flatten`) and vectorizes whole quiet runs of
   hits between coherence/sync events for single-processor replay.
 * ``native`` -- :mod:`repro.trace.engine.native`.  A C extension
-  (``_native.c``) running the full interleaver inner loop over the shared
-  ``array('q')`` tag/state/bank storage, calling back into python only for
-  misses, instruction-cache refills, and synchronization.
+  (``_native.c``) running the whole fast path -- scheduler, chunk drain
+  and snoopy miss path -- over the python model's own storage, returning
+  to python only for generator resumes, lock/barrier handlers and
+  instruction-cache refills.
 
 Selection: the ``backend=`` knob on ``TimingInterleaver`` /
 ``run_simulation`` / ``SweepSpec`` wins; otherwise the ``REPRO_ENGINE``
-environment variable; otherwise ``auto``, which probes native -> numpy ->
-python.  Requests degrade gracefully (a missing compiler or numpy falls
-back down the ladder) unless ``strict=True``.
+environment variable; otherwise ``auto``, which probes native -> python.
+numpy runs only when asked for by name: it is slower than the python loop
+on most recorded paper workloads.  Requests degrade gracefully (a missing
+compiler or numpy falls back to python) unless ``strict=True``.
 
 Every backend must be fingerprint-identical to the python loop; the
 differential verifier (:mod:`repro.verify.differ`) runs all importable
@@ -64,7 +66,8 @@ def native_available() -> bool:
 def native_unavailable_reason() -> Optional[str]:
     """Why the native tier is missing (``None`` when it loaded)."""
     from . import native
-    native.load()
+    if native.load() is not None:
+        return None
     return native.LOAD_ERROR
 
 
@@ -73,8 +76,8 @@ def resolve_backend(request: Optional[str] = None,
     """Concrete backend for a request.
 
     ``None`` reads ``$REPRO_ENGINE`` (default ``auto``).  ``auto`` probes
-    native -> numpy -> python; explicit requests degrade down the same
-    ladder when their tier is unavailable, unless ``strict`` is set, in
+    native -> python; an explicit ``native`` or ``numpy`` request degrades
+    to python when its tier is unavailable, unless ``strict`` is set, in
     which case a missing tier raises ``RuntimeError`` with the reason.
     """
     if request is None:
@@ -85,15 +88,13 @@ def resolve_backend(request: Optional[str] = None,
             f"unknown replay backend {request!r}; "
             f"choose from {', '.join(BACKEND_CHOICES)}")
     if request == "auto":
-        if native_available():
-            return "native"
-        return "numpy" if numpy_available() else "python"
+        return "native" if native_available() else "python"
     if request == "native" and not native_available():
         if strict:
             raise RuntimeError(
                 f"native replay backend unavailable: "
                 f"{native_unavailable_reason()}")
-        return "numpy" if numpy_available() else "python"
+        return "python"
     if request == "numpy" and not numpy_available():
         if strict:
             raise RuntimeError("numpy replay backend unavailable")
@@ -106,10 +107,10 @@ def engine_degradation(request: Optional[str] = None) -> Optional[str]:
     request allows, or ``None`` when nothing degraded.
 
     ``auto`` (and an explicit ``native`` request) aim for the native
-    tier, so resolving anything else means a toolchain problem worth
-    surfacing -- the sweep/bench CLIs print this instead of silently
-    running slower.  Explicit ``numpy``/``python`` requests never
-    degrade silently upward of what they asked for.
+    tier and fall back straight to python, so resolving anything but
+    native means a toolchain problem worth surfacing -- the sweep/bench
+    CLIs print this instead of silently running slower.  An explicit
+    ``numpy`` request degrades to python only when numpy is missing.
     """
     if request is None:
         request = os.environ.get(ENGINE_ENV, "").strip() or "auto"
@@ -126,7 +127,8 @@ def engine_degradation(request: Optional[str] = None) -> Optional[str]:
 
 
 def available_backends() -> list:
-    """Concrete backends importable right now, fastest first."""
+    """Concrete backends importable right now (native, numpy, python
+    order; numpy is not faster than python on recorded paper tapes)."""
     names = []
     if native_available():
         names.append("native")

@@ -1,64 +1,142 @@
-/* Packed-chunk drain loop for the repro timing interleaver.
+/* Packed replay engine for the repro timing interleaver.
  *
- * This is a transcription of the inner loop of
- * ``TimingInterleaver._run_fast`` (src/repro/trace/interleave.py) into C
- * over raw ``int64_t*`` views of the ``array('q')`` storage the python
- * model already uses for cache tags/states and bank free times.  The
- * python wrapper (engine/native.py) keeps the scheduler: heap switches,
- * generator resumes and synchronization handlers happen in python, and
- * coherence misses / icache refills call back into the python model.
- * Everything here must stay observably identical to the python loop --
- * the differential verifier diffs fingerprints and error messages.
+ * This is a transcription of ``TimingInterleaver._run_fast``
+ * (src/repro/trace/interleave.py) into C: the chunk-drain inner loop,
+ * the process scheduler (the ``(time, seq, pid)`` heap with its fused
+ * push-and-pop preemption), and the snoopy miss path of
+ * ``CoherenceController`` (src/repro/core/coherence.py: ``read_miss``,
+ * ``write_line``, ``_snoop_downgrade``, ``_invalidate_remote``,
+ * ``_install``).  It works on the python model's own storage: raw
+ * ``int64_t*`` views of the ``array('q')`` tag/state/bank tables, and
+ * the in-flight dicts, lost-line sets, write-buffer heaps, scheduler
+ * heap and ``_Process`` objects through the C API.  Everything here must
+ * stay observably identical to the python loop -- the differential
+ * verifier diffs fingerprints and error messages.
  *
  * Protocol: ``setup(plan)`` parses the plan tuple into a context capsule
- * with all buffers acquired once; ``drain(ctx, chunk)`` consumes events
- * starting at the position in ``regs`` until the chunk is exhausted
- * (returns 0), the process is preempted by the cached heap top
- * (returns 1), or a synchronization / unknown opcode needs the python
- * handler (returns 2, with ``regs`` pointing at the opcode);
- * ``release(ctx)`` drops the buffer views deterministically.
+ * with all buffers acquired once; ``drain(ctx)`` runs the scheduler
+ * until python is needed and returns
+ *
+ *   0  the heap is empty (end of run, or every process blocked);
+ *   1  process ``regs[0]`` needs its generator resumed (it has no
+ *      chunk yet, or just exhausted one);
+ *   2  process ``regs[0]`` reached lock/barrier opcode ``regs[1]`` with
+ *      operands ``regs[2]``, ``regs[3]``; ``process.time`` is current.
+ *
+ * and the wrapper (engine/native.py) runs that python step and calls
+ * ``drain`` again.  ``release(ctx)`` drops the buffer views.
+ *
+ * State contract: whenever control is in python (a return from
+ * ``drain``, an ``ifetch`` callback, an exception) the python-visible
+ * state equals what ``_run_fast`` holds at the same point.  Process
+ * fields are written exactly where ``_run_fast`` writes them.  The bus
+ * fields, the interleaver's ``_seq`` and the statistics the python miss
+ * path updates eagerly are cached here and synced at every crossing
+ * (``sync_out`` / ``sync_in``); the hit-path deltas that ``_run_fast``
+ * itself defers are flushed by the wrapper at the end, like its
+ * ``finally``.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
+
+/* Exported as ``ABI_VERSION``; engine/native.py refuses any other. */
+#define NATIVE_ABI "3"
 
 #define OP_READ 1
 #define OP_WRITE 2
 #define OP_COMPUTE 3
 #define OP_IFETCH 4
+#define OP_LOCK_ACQ 5
+#define OP_LOCK_REL 6
+#define OP_BARRIER 7
 #define OP_ENQUEUE 8
 #define OP_DEQUEUE 9
 #define OP_READ_SPAN 10
 #define OP_WRITE_SPAN 11
 
-#define ST_MODIFIED 2   /* repro.core.cache.MODIFIED */
+/* repro.core.cache line states */
+#define ST_INVALID 0
+#define ST_SHARED 1
+#define ST_MODIFIED 2
+#define ST_EXCLUSIVE 3
 
-#define STATUS_EXHAUSTED 0
-#define STATUS_PREEMPT 1
+#define STATUS_DONE 0
+#define STATUS_ADVANCE 1
 #define STATUS_SYNC 2
+
+#define NO_LIMIT 0x7fffffffffffffffLL
 
 static PyObject *g_deque = NULL;      /* collections.deque */
 static PyObject *s_append = NULL;
 static PyObject *s_popleft = NULL;
-static PyObject *s_complete = NULL;
-static PyObject *s_retire = NULL;
+static PyObject *s_seq;
+static PyObject *s_busy_until, *s_transactions, *s_busy_cycles;
+static PyObject *s_write_stall_cycles;
+
+/* SccStats counters the python miss path bumps as it goes. */
+enum {
+    M_READS, M_READ_MISSES, M_WRITES, M_WRITE_MISSES, M_UPGRADES,
+    M_INV_SENT, M_INV_RECEIVED, M_INTERVENTIONS, M_WRITEBACKS,
+    M_EVICTIONS, M_COHERENCE_READ_MISSES, M_BUS_WAIT, M_COUNT
+};
+static const char *const m_names[M_COUNT] = {
+    "reads", "read_misses", "writes", "write_misses", "upgrades",
+    "invalidations_sent", "invalidations_received", "interventions",
+    "writebacks", "evictions", "coherence_read_misses",
+    "bus_wait_cycles",
+};
+static PyObject *s_m[M_COUNT];
+
+/* The ``_Process`` fields the scheduler reads and writes. */
+enum { F_TIME, F_CHUNK, F_CHUNK_POS, F_CHUNK_SUB, F_IN_HEAP, F_BLOCKED,
+       F_COUNT };
+static const char *const f_names[F_COUNT] = {
+    "time", "chunk", "chunk_pos", "chunk_sub", "in_heap", "blocked",
+};
+static PyObject *s_f[F_COUNT];
+
+/* Where the next ``drain`` call picks up. */
+#define RESUME_OUTER 0     /* pop the heap */
+#define RESUME_ADVANCE 1   /* ``cur`` was handed to its generator */
+#define RESUME_SYNC 2      /* ``cur`` ran a lock/barrier handler */
 
 typedef struct {
     PyObject *plan;           /* strong ref; keeps every borrowed ptr alive */
     int n_cl;
     int nproc;
     int released;
-    long long idx_mask, tag_shift, line_shift, nbanks, bank_cycle;
-    long long wb_depth, iline_shift, limit;
-    int stall_on_writes, icache_mode;
+    long long idx_mask, tag_shift, num_lines, line_shift, nbanks;
+    long long bank_cycle, wb_depth, iline_shift, limit;
+    long long bus_occ, upg_occ, mem_lat;
+    int stall_on_writes, icache_mode, mesi;
+    /* per cluster */
     long long **cl_states, **cl_tags, **cl_bank_free;
-    PyObject **cl_inflight, **cl_scc, **cl_wbufs;
+    PyObject **cl_inflight, **cl_lost, **cl_stats, **cl_icn, **cl_wbufs;
+    /* per processor */
+    long long *proc_cluster;
+    PyObject **procs;         /* _Process by pid (Py_None: unregistered) */
+    PyMemberDef *fields[F_COUNT];  /* their __slots__ */
+    PyObject **chunk_obj;     /* chunk whose view is held in chunk_view */
+    Py_buffer *chunk_view;
     long long **ic_states, **ic_tags;
     long long *ic_mask, *ic_shift;
+    /* deltas _run_fast defers to its ``finally`` (flushed by the
+     * wrapper) */
     long long *d_reads, *d_writes, *d_conf, *d_wbuf;
     long long *d_refs, *d_busy, *d_stall, *d_finish, *d_icfetch, *misc;
-    long long *regs;          /* i, sub, time, next_time, pid, cl */
-    PyObject *read_miss, *write_line, *ifetch, *queues;
+    long long *regs;          /* out: pid, op, arg1, arg2 */
+    PyObject *interleaver, *heap, *bus, *ifetch, *queues;
+    /* python state cached between crossings (sync_in / sync_out) */
+    long long seq, bus_until, bus_tx, bus_busy;
+    long long *m;             /* n_cl x M_COUNT stat deltas */
+    long long *m_wstall;      /* n_cl interconnect write_stall_cycles */
+    int seq_dirty, bus_dirty, m_dirty;
+    /* scheduler position between drain calls */
+    int resume;
+    long long cur, i;         /* process, and its position after a sync */
+    unsigned long polls;
     Py_buffer *views;
     int nviews;
 } Ctx;
@@ -90,10 +168,271 @@ get_ll_item(PyObject *seq, Py_ssize_t i, long long *out)
     return 0;
 }
 
-/* Write-buffer heaps are plain python lists of ints, shared with
- * heapq-based python code.  Heap layout may differ from heapq's after
- * mixed use, but the multiset of retire times and the min element --
- * the only observable properties -- are identical. */
+static int
+get_attr_ll(PyObject *obj, PyObject *name, long long *out)
+{
+    PyObject *v = PyObject_GetAttr(obj, name);
+    if (!v)
+        return -1;
+    *out = PyLong_AsLongLong(v);
+    Py_DECREF(v);
+    if (*out == -1 && PyErr_Occurred())
+        return -1;
+    return 0;
+}
+
+static int
+set_attr_ll(PyObject *obj, PyObject *name, long long val)
+{
+    PyObject *v = PyLong_FromLongLong(val);
+    if (!v)
+        return -1;
+    int r = PyObject_SetAttr(obj, name, v);
+    Py_DECREF(v);
+    return r;
+}
+
+/* ``obj.name += delta`` */
+static int
+add_attr_ll(PyObject *obj, PyObject *name, long long delta)
+{
+    long long v;
+    if (get_attr_ll(obj, name, &v) < 0)
+        return -1;
+    return set_attr_ll(obj, name, v + delta);
+}
+
+/* Process fields go straight through the ``__slots__`` member
+ * definitions (PyMember_GetOne/SetOne): several per process switch,
+ * without attribute lookup. */
+
+static PyObject *
+pf_get(Ctx *ctx, PyObject *proc, int f)
+{
+    return PyMember_GetOne((const char *)proc, ctx->fields[f]);
+}
+
+static int
+pf_set(Ctx *ctx, PyObject *proc, int f, PyObject *v)
+{
+    return PyMember_SetOne((char *)proc, ctx->fields[f], v);
+}
+
+static int
+pf_get_ll(Ctx *ctx, PyObject *proc, int f, long long *out)
+{
+    PyObject *v = pf_get(ctx, proc, f);
+    if (!v)
+        return -1;
+    *out = PyLong_AsLongLong(v);
+    Py_DECREF(v);
+    if (*out == -1 && PyErr_Occurred())
+        return -1;
+    return 0;
+}
+
+static int
+pf_set_ll(Ctx *ctx, PyObject *proc, int f, long long val)
+{
+    PyObject *v = PyLong_FromLongLong(val);
+    if (!v)
+        return -1;
+    int r = pf_set(ctx, proc, f, v);
+    Py_DECREF(v);
+    return r;
+}
+
+static int
+pf_get_bool(Ctx *ctx, PyObject *proc, int f)
+{
+    PyObject *v = pf_get(ctx, proc, f);
+    if (!v)
+        return -1;
+    int r = PyObject_IsTrue(v);
+    Py_DECREF(v);
+    return r;
+}
+
+/* The slot definitions of the processes' one type (``_Process``). */
+static int
+resolve_fields(Ctx *ctx)
+{
+    PyTypeObject *type = NULL;
+    for (int p = 0; p < ctx->nproc; p++) {
+        PyObject *proc = ctx->procs[p];
+        if (proc == Py_None)
+            continue;
+        if (type && Py_TYPE(proc) != type)
+            goto bad;
+        type = Py_TYPE(proc);
+    }
+    if (!type)
+        goto bad;
+    for (int f = 0; f < F_COUNT; f++) {
+        PyObject *descr = PyObject_GetAttr((PyObject *)type, s_f[f]);
+        if (!descr)
+            return -1;
+        int ok = Py_IS_TYPE(descr, &PyMemberDescr_Type);
+        ctx->fields[f] = ok ? ((PyMemberDescrObject *)descr)->d_member
+                            : NULL;
+        Py_DECREF(descr);     /* the type's dict keeps it alive */
+        if (!ok || ctx->fields[f]->type != T_OBJECT_EX
+            || (ctx->fields[f]->flags & READONLY))
+            goto bad;
+    }
+    return 0;
+bad:
+    PyErr_SetString(PyExc_TypeError,
+                    "processes must share one type with writable "
+                    "__slots__ fields");
+    return -1;
+}
+
+/* ------------------------------------------------------------- heapq */
+
+/* Exact transcriptions of heapq's ``_siftdown``/``_siftup``, so every
+ * heap -- the scheduler's ``(time, seq, pid)`` tuples and the
+ * write-buffer ints -- has the very layout the python loop would leave.
+ * Items are only permuted, so references move without refcounting.
+ * Scheduler keys are ``(time, seq)``: seq is unique, so the pid never
+ * takes part in a comparison. */
+
+typedef struct {
+    long long a, b;
+} HKey;
+
+static int
+hkey(PyObject *item, int tuple, HKey *k)
+{
+    if (tuple) {
+        if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) < 3) {
+            PyErr_SetString(PyExc_TypeError,
+                            "scheduler heap entries must be 3-tuples");
+            return -1;
+        }
+        k->a = PyLong_AsLongLong(PyTuple_GET_ITEM(item, 0));
+        k->b = PyLong_AsLongLong(PyTuple_GET_ITEM(item, 1));
+    }
+    else {
+        k->a = PyLong_AsLongLong(item);
+        k->b = 0;
+    }
+    if ((k->a == -1 || k->b == -1) && PyErr_Occurred())
+        return -1;
+    return 0;
+}
+
+static inline int
+hkey_lt(const HKey *x, const HKey *y)
+{
+    return x->a < y->a || (x->a == y->a && x->b < y->b);
+}
+
+static int
+h_siftdown(PyObject *heap, Py_ssize_t startpos, Py_ssize_t pos, int tuple)
+{
+    PyObject *newitem = PyList_GET_ITEM(heap, pos);
+    HKey nk, pk;
+    if (hkey(newitem, tuple, &nk) < 0)
+        return -1;
+    while (pos > startpos) {
+        Py_ssize_t parentpos = (pos - 1) >> 1;
+        PyObject *parent = PyList_GET_ITEM(heap, parentpos);
+        if (hkey(parent, tuple, &pk) < 0)
+            return -1;
+        if (hkey_lt(&nk, &pk)) {
+            PyList_SET_ITEM(heap, pos, parent);
+            pos = parentpos;
+            continue;
+        }
+        break;
+    }
+    PyList_SET_ITEM(heap, pos, newitem);
+    return 0;
+}
+
+static int
+h_siftup(PyObject *heap, Py_ssize_t pos, int tuple)
+{
+    Py_ssize_t endpos = PyList_GET_SIZE(heap);
+    Py_ssize_t startpos = pos;
+    PyObject *newitem = PyList_GET_ITEM(heap, pos);
+    Py_ssize_t childpos = 2 * pos + 1;
+    HKey ck, rk;
+    while (childpos < endpos) {
+        Py_ssize_t rightpos = childpos + 1;
+        if (rightpos < endpos) {
+            if (hkey(PyList_GET_ITEM(heap, childpos), tuple, &ck) < 0
+                || hkey(PyList_GET_ITEM(heap, rightpos), tuple, &rk) < 0)
+                return -1;
+            if (!hkey_lt(&ck, &rk))
+                childpos = rightpos;
+        }
+        PyList_SET_ITEM(heap, pos, PyList_GET_ITEM(heap, childpos));
+        pos = childpos;
+        childpos = 2 * pos + 1;
+    }
+    PyList_SET_ITEM(heap, pos, newitem);
+    return h_siftdown(heap, startpos, pos, tuple);
+}
+
+/* heapq.heappush; steals ``item``. */
+static int
+h_push(PyObject *heap, PyObject *item, int tuple)
+{
+    int r = PyList_Append(heap, item);
+    Py_DECREF(item);
+    if (r < 0)
+        return -1;
+    return h_siftdown(heap, 0, PyList_GET_SIZE(heap) - 1, tuple);
+}
+
+/* heapq.heappop on a non-empty heap; returns a new reference. */
+static PyObject *
+h_pop(PyObject *heap, int tuple)
+{
+    Py_ssize_t n = PyList_GET_SIZE(heap);
+    PyObject *last = PyList_GET_ITEM(heap, n - 1);
+    Py_INCREF(last);
+    if (PyList_SetSlice(heap, n - 1, n, NULL) < 0) {
+        Py_DECREF(last);
+        return NULL;
+    }
+    if (n == 1)
+        return last;
+    PyObject *ret = PyList_GET_ITEM(heap, 0);
+    PyList_SET_ITEM(heap, 0, last);     /* our ref moves into the list */
+    if (h_siftup(heap, 0, tuple) < 0) {
+        Py_DECREF(ret);
+        return NULL;
+    }
+    return ret;
+}
+
+/* heapq.heappushpop; steals ``item``, returns a new reference. */
+static PyObject *
+h_pushpop(PyObject *heap, PyObject *item, int tuple)
+{
+    if (PyList_GET_SIZE(heap) == 0)
+        return item;
+    HKey top, k;
+    if (hkey(PyList_GET_ITEM(heap, 0), tuple, &top) < 0
+        || hkey(item, tuple, &k) < 0) {
+        Py_DECREF(item);
+        return NULL;
+    }
+    if (!hkey_lt(&top, &k))
+        return item;
+    PyObject *ret = PyList_GET_ITEM(heap, 0);
+    PyList_SET_ITEM(heap, 0, item);
+    if (h_siftup(heap, 0, tuple) < 0) {
+        Py_DECREF(ret);
+        return NULL;
+    }
+    return ret;
+}
+
+/* Write-buffer heaps (used by the fused ladder too). */
 
 static int
 wb_heappush(PyObject *heap, long long val)
@@ -101,89 +440,102 @@ wb_heappush(PyObject *heap, long long val)
     PyObject *obj = PyLong_FromLongLong(val);
     if (!obj)
         return -1;
-    if (PyList_Append(heap, obj) < 0) {
-        Py_DECREF(obj);
-        return -1;
-    }
-    Py_DECREF(obj);
-    Py_ssize_t pos = PyList_GET_SIZE(heap) - 1;
-    while (pos > 0) {
-        Py_ssize_t parent = (pos - 1) >> 1;
-        long long pv = PyLong_AsLongLong(PyList_GET_ITEM(heap, parent));
-        if (pv == -1 && PyErr_Occurred())
-            return -1;
-        if (val >= pv)
-            break;
-        PyObject *a = PyList_GET_ITEM(heap, pos);
-        PyList_SET_ITEM(heap, pos, PyList_GET_ITEM(heap, parent));
-        PyList_SET_ITEM(heap, parent, a);
-        pos = parent;
-    }
-    return 0;
+    return h_push(heap, obj, 0);
 }
 
 static long long
 wb_heappop(PyObject *heap, int *err)
 {
-    Py_ssize_t n = PyList_GET_SIZE(heap);
-    long long result = PyLong_AsLongLong(PyList_GET_ITEM(heap, 0));
-    if (result == -1 && PyErr_Occurred()) {
+    PyObject *obj = h_pop(heap, 0);
+    if (!obj) {
         *err = 1;
         return 0;
     }
-    PyObject *last = PyList_GET_ITEM(heap, n - 1);
-    Py_INCREF(last);
-    if (PyList_SetSlice(heap, n - 1, n, NULL) < 0) {
-        Py_DECREF(last);
+    long long v = PyLong_AsLongLong(obj);
+    Py_DECREF(obj);
+    if (v == -1 && PyErr_Occurred())
         *err = 1;
-        return 0;
-    }
-    if (n > 1) {
-        long long lv = PyLong_AsLongLong(last);
-        PyList_SetItem(heap, 0, last);  /* steals our ref, frees old root */
-        if (lv == -1 && PyErr_Occurred()) {
-            *err = 1;
-            return 0;
-        }
-        Py_ssize_t m = n - 1, pos = 0;
-        for (;;) {
-            Py_ssize_t child = 2 * pos + 1;
-            if (child >= m)
-                break;
-            long long cv = PyLong_AsLongLong(PyList_GET_ITEM(heap, child));
-            if (cv == -1 && PyErr_Occurred()) {
-                *err = 1;
-                return 0;
-            }
-            if (child + 1 < m) {
-                long long cv2 =
-                    PyLong_AsLongLong(PyList_GET_ITEM(heap, child + 1));
-                if (cv2 == -1 && PyErr_Occurred()) {
-                    *err = 1;
-                    return 0;
-                }
-                if (cv2 < cv) {
-                    cv = cv2;
-                    child++;
-                }
-            }
-            if (cv >= lv)
-                break;
-            PyObject *a = PyList_GET_ITEM(heap, pos);
-            PyList_SET_ITEM(heap, pos, PyList_GET_ITEM(heap, child));
-            PyList_SET_ITEM(heap, child, a);
-            pos = child;
-        }
-    }
-    else {
-        Py_DECREF(last);
-    }
-    return result;
+    return v;
 }
 
-/* BankInterconnect.reserve_write_slot, minus the probe (the fast path
- * guarantees NULL_PROBE) and minus write_stall_cycles, which the
- * wrapper settles from d_wbuf at flush time. */
+/* --------------------------------------------------------- sync points */
+
+/* Push the cached python state out before control enters python. */
+static int
+sync_out(Ctx *ctx)
+{
+    if (ctx->seq_dirty) {
+        if (set_attr_ll(ctx->interleaver, s_seq, ctx->seq) < 0)
+            return -1;
+        ctx->seq_dirty = 0;
+    }
+    if (ctx->bus_dirty) {
+        if (set_attr_ll(ctx->bus, s_busy_until, ctx->bus_until) < 0
+            || set_attr_ll(ctx->bus, s_transactions, ctx->bus_tx) < 0
+            || set_attr_ll(ctx->bus, s_busy_cycles, ctx->bus_busy) < 0)
+            return -1;
+        ctx->bus_dirty = 0;
+    }
+    if (ctx->m_dirty) {
+        for (int c = 0; c < ctx->n_cl; c++) {
+            long long *m = ctx->m + (Py_ssize_t)c * M_COUNT;
+            for (int k = 0; k < M_COUNT; k++) {
+                if (m[k]) {
+                    if (add_attr_ll(ctx->cl_stats[c], s_m[k], m[k]) < 0)
+                        return -1;
+                    m[k] = 0;
+                }
+            }
+            if (ctx->m_wstall[c]) {
+                if (add_attr_ll(ctx->cl_icn[c], s_write_stall_cycles,
+                                ctx->m_wstall[c]) < 0)
+                    return -1;
+                ctx->m_wstall[c] = 0;
+            }
+        }
+        ctx->m_dirty = 0;
+    }
+    return 0;
+}
+
+/* Re-read what python may have changed while it had control. */
+static int
+sync_in(Ctx *ctx)
+{
+    if (get_attr_ll(ctx->interleaver, s_seq, &ctx->seq) < 0
+        || get_attr_ll(ctx->bus, s_busy_until, &ctx->bus_until) < 0
+        || get_attr_ll(ctx->bus, s_transactions, &ctx->bus_tx) < 0
+        || get_attr_ll(ctx->bus, s_busy_cycles, &ctx->bus_busy) < 0)
+        return -1;
+    return 0;
+}
+
+/* sync_out on an error path, keeping the pending exception. */
+static void
+sync_out_on_error(Ctx *ctx)
+{
+    PyObject *type, *value, *tb;
+    PyErr_Fetch(&type, &value, &tb);
+    if (sync_out(ctx) < 0)
+        PyErr_Clear();
+    PyErr_Restore(type, value, tb);
+}
+
+/* ------------------------------------------------- bus and write buffer */
+
+/* SnoopyBus.acquire minus the probe: returns the grant cycle. */
+static inline long long
+bus_acquire(Ctx *ctx, long long now, long long occupancy)
+{
+    long long grant = ctx->bus_until > now ? ctx->bus_until : now;
+    ctx->bus_until = grant + occupancy;
+    ctx->bus_tx++;
+    ctx->bus_busy += occupancy;
+    ctx->bus_dirty = 1;
+    return grant;
+}
+
+/* BankInterconnect.reserve_write_slot minus the probe. */
 static long long
 c_reserve(Ctx *ctx, long long cl, long long bank, long long now,
           long long retire, int *err)
@@ -209,6 +561,10 @@ c_reserve(Ctx *ctx, long long cl, long long bank, long long now,
         stall = oldest - now;
         if (stall < 0)
             stall = 0;
+        if (stall) {
+            ctx->m_wstall[cl] += stall;
+            ctx->m_dirty = 1;
+        }
     }
     long long push = now + stall;
     if (retire > push)
@@ -219,6 +575,8 @@ c_reserve(Ctx *ctx, long long cl, long long bank, long long now,
     }
     return stall;
 }
+
+/* ------------------------------------------------ in-flight fill maps */
 
 static long long
 inflight_done(PyObject *infl, long long line, long long start, int *err)
@@ -259,103 +617,237 @@ inflight_done(PyObject *infl, long long line, long long start, int *err)
     return done;
 }
 
-static long long
-call_read_miss(Ctx *ctx, long long cl, long long line, long long start,
-               int *err)
+/* SharedClusterCache.drop_inflight */
+static int
+drop_inflight(PyObject *infl, PyObject *key)
 {
-    PyObject *pl = PyLong_FromLongLong(line);
-    PyObject *ps = pl ? PyLong_FromLongLong(start) : NULL;
-    if (!pl || !ps) {
-        Py_XDECREF(pl);
-        Py_XDECREF(ps);
-        *err = 1;
+    if (PyDict_GET_SIZE(infl) == 0)
         return 0;
-    }
-    PyObject *res = PyObject_CallFunctionObjArgs(
-        ctx->read_miss, ctx->cl_scc[cl], pl, ps, NULL);
-    Py_DECREF(pl);
-    Py_DECREF(ps);
-    if (!res) {
-        *err = 1;
-        return 0;
-    }
-    long long v = PyLong_AsLongLong(res);
-    Py_DECREF(res);
-    if (v == -1 && PyErr_Occurred()) {
-        *err = 1;
-        return 0;
-    }
-    return v;
+    int has = PyDict_Contains(infl, key);
+    if (has <= 0)
+        return has;
+    return PyDict_DelItem(infl, key);
 }
 
+/* ------------------------------------------------------ snoopy miss path */
+
+/* CoherenceController._install: place ``line`` (``key``) in cluster
+ * ``cl``'s array, time its fill, and retire any victim. */
 static int
-call_write_line(Ctx *ctx, long long cl, long long line, long long start,
-                long long *complete, long long *retire)
+c_install(Ctx *ctx, long long cl, PyObject *key, long long line,
+          long long state, long long start, long long ready)
 {
-    PyObject *pl = PyLong_FromLongLong(line);
-    PyObject *ps = pl ? PyLong_FromLongLong(start) : NULL;
-    if (!pl || !ps) {
-        Py_XDECREF(pl);
-        Py_XDECREF(ps);
+    long long idx = line & ctx->idx_mask;
+    long long tag = line >> ctx->tag_shift;
+    long long *states = ctx->cl_states[cl];
+    long long *tags = ctx->cl_tags[cl];
+    long long old = states[idx];
+    int victim = old != ST_INVALID && tags[idx] != tag;
+    long long victim_line = tags[idx] * ctx->num_lines + idx;
+    tags[idx] = tag;
+    states[idx] = state;
+    PyObject *pready = PyLong_FromLongLong(ready);
+    if (!pready)
         return -1;
+    int r = PyDict_SetItem(ctx->cl_inflight[cl], key, pready);
+    Py_DECREF(pready);
+    if (r < 0)
+        return -1;
+    if (victim) {
+        PyObject *vkey = PyLong_FromLongLong(victim_line);
+        if (!vkey)
+            return -1;
+        r = drop_inflight(ctx->cl_inflight[cl], vkey);
+        Py_DECREF(vkey);
+        if (r < 0)
+            return -1;
+        long long *m = ctx->m + cl * M_COUNT;
+        m[M_EVICTIONS]++;
+        if (old == ST_MODIFIED) {
+            /* The write-back occupies the bus from the *request* time;
+             * nobody waits on it (see coherence._install). */
+            m[M_WRITEBACKS]++;
+            bus_acquire(ctx, start, ctx->bus_occ);
+        }
     }
-    PyObject *res = PyObject_CallFunctionObjArgs(
-        ctx->write_line, ctx->cl_scc[cl], pl, ps, NULL);
-    Py_DECREF(pl);
-    Py_DECREF(ps);
-    if (!res)
-        return -1;
-    PyObject *c = PyObject_GetAttr(res, s_complete);
-    PyObject *r = c ? PyObject_GetAttr(res, s_retire) : NULL;
-    Py_DECREF(res);
-    if (!c || !r) {
-        Py_XDECREF(c);
-        Py_XDECREF(r);
-        return -1;
-    }
-    *complete = PyLong_AsLongLong(c);
-    *retire = PyLong_AsLongLong(r);
-    Py_DECREF(c);
-    Py_DECREF(r);
-    if (PyErr_Occurred())
-        return -1;
     return 0;
 }
 
+/* CoherenceController._snoop_downgrade: 1 if a remote SCC held the
+ * line, 0 if none did. */
+static int
+c_snoop_downgrade(Ctx *ctx, long long cl, long long line)
+{
+    long long idx = line & ctx->idx_mask;
+    long long tag = line >> ctx->tag_shift;
+    int held = 0;
+    for (int o = 0; o < ctx->n_cl; o++) {
+        if (o == cl)
+            continue;
+        long long *states = ctx->cl_states[o];
+        long long state = states[idx];
+        if (state == ST_INVALID || ctx->cl_tags[o][idx] != tag)
+            continue;
+        held = 1;
+        if (state == ST_MODIFIED) {
+            states[idx] = ST_SHARED;
+            ctx->m[cl * M_COUNT + M_INTERVENTIONS]++;
+        }
+        else if (state == ST_EXCLUSIVE) {
+            states[idx] = ST_SHARED;
+        }
+    }
+    return held;
+}
+
+/* CoherenceController._invalidate_remote */
+static int
+c_invalidate_remote(Ctx *ctx, long long cl, PyObject *key, long long line)
+{
+    long long idx = line & ctx->idx_mask;
+    long long tag = line >> ctx->tag_shift;
+    long long killed = 0;
+    for (int o = 0; o < ctx->n_cl; o++) {
+        if (o == cl)
+            continue;
+        /* Dropped unconditionally: a fill snatched mid-flight leaves no
+         * resident copy, but its stale entry could satisfy a later miss
+         * to another tag on the same index. */
+        if (drop_inflight(ctx->cl_inflight[o], key) < 0)
+            return -1;
+        long long *states = ctx->cl_states[o];
+        if (states[idx] != ST_INVALID && ctx->cl_tags[o][idx] == tag) {
+            states[idx] = ST_INVALID;
+            if (PySet_Add(ctx->cl_lost[o], key) < 0)
+                return -1;
+            ctx->m[o * M_COUNT + M_INV_RECEIVED]++;
+            killed++;
+        }
+    }
+    ctx->m[cl * M_COUNT + M_INV_SENT] += killed;
+    return 0;
+}
+
+/* SharedClusterCache.consume_lost: 1 if the line was lost to a remote
+ * invalidation (and forgets it), else 0. */
+static inline int
+consume_lost(PyObject *lost, PyObject *key)
+{
+    if (PySet_GET_SIZE(lost) == 0)
+        return 0;
+    return PySet_Discard(lost, key);
+}
+
+/* CoherenceController.read_miss: returns the completion cycle. */
+static long long
+c_read_miss(Ctx *ctx, long long cl, long long line, long long start,
+            int *err)
+{
+    PyObject *key = PyLong_FromLongLong(line);
+    if (!key) {
+        *err = 1;
+        return 0;
+    }
+    long long *m = ctx->m + cl * M_COUNT;
+    ctx->m_dirty = 1;
+    m[M_READS]++;
+    m[M_READ_MISSES]++;
+    int lost = consume_lost(ctx->cl_lost[cl], key);
+    if (lost < 0)
+        goto fail;
+    if (lost)
+        m[M_COHERENCE_READ_MISSES]++;
+    long long grant = bus_acquire(ctx, start, ctx->bus_occ);
+    m[M_BUS_WAIT] += grant - start;
+    long long done = grant + ctx->mem_lat;
+    long long state = ST_SHARED;
+    if (!c_snoop_downgrade(ctx, cl, line) && ctx->mesi)
+        state = ST_EXCLUSIVE;
+    if (c_install(ctx, cl, key, line, state, start, done) < 0)
+        goto fail;
+    Py_DECREF(key);
+    return done + 1;
+fail:
+    Py_DECREF(key);
+    *err = 1;
+    return 0;
+}
+
+/* CoherenceController.write_line for everything but a MODIFIED or
+ * EXCLUSIVE hit (handled inline): the upgrade of a SHARED copy, or a
+ * write miss. */
+static int
+c_write_line(Ctx *ctx, long long cl, long long line, long long start,
+             long long *complete, long long *retire)
+{
+    PyObject *key = PyLong_FromLongLong(line);
+    if (!key)
+        return -1;
+    long long idx = line & ctx->idx_mask;
+    long long *states = ctx->cl_states[cl];
+    long long *m = ctx->m + cl * M_COUNT;
+    ctx->m_dirty = 1;
+    m[M_WRITES]++;
+    if (states[idx] == ST_SHARED
+        && ctx->cl_tags[cl][idx] == (line >> ctx->tag_shift)) {
+        /* Upgrade: broadcast an invalidation; the store drains from the
+         * write buffer, so the processor continues after one cycle. */
+        m[M_UPGRADES]++;
+        long long grant = bus_acquire(ctx, start, ctx->upg_occ);
+        if (c_invalidate_remote(ctx, cl, key, line) < 0)
+            goto fail;
+        states[idx] = ST_MODIFIED;
+        *complete = start + 1;
+        *retire = grant + ctx->upg_occ;
+    }
+    else {
+        m[M_WRITE_MISSES]++;
+        if (consume_lost(ctx->cl_lost[cl], key) < 0)
+            goto fail;
+        long long grant = bus_acquire(ctx, start, ctx->bus_occ);
+        m[M_BUS_WAIT] += grant - start;
+        long long done = grant + ctx->mem_lat;
+        if (c_invalidate_remote(ctx, cl, key, line) < 0)
+            goto fail;
+        if (c_install(ctx, cl, key, line, ST_MODIFIED, start, done) < 0)
+            goto fail;
+        *complete = start + 1;
+        *retire = done;
+    }
+    Py_DECREF(key);
+    return 0;
+fail:
+    Py_DECREF(key);
+    return -1;
+}
+
+/* ------------------------------------------------------------- ifetch */
+
+/* MultiprocessorSystem.ifetch, in python: it may refill over the bus. */
 static long long
 call_ifetch(Ctx *ctx, long long pid, long long addr, long long count,
             long long time, int *err)
 {
-    PyObject *a0 = PyLong_FromLongLong(pid);
-    PyObject *a1 = a0 ? PyLong_FromLongLong(addr) : NULL;
-    PyObject *a2 = a1 ? PyLong_FromLongLong(count) : NULL;
-    PyObject *a3 = a2 ? PyLong_FromLongLong(time) : NULL;
-    if (!a0 || !a1 || !a2 || !a3) {
-        Py_XDECREF(a0);
-        Py_XDECREF(a1);
-        Py_XDECREF(a2);
-        Py_XDECREF(a3);
+    if (sync_out(ctx) < 0) {
         *err = 1;
         return 0;
     }
-    PyObject *res = PyObject_CallFunctionObjArgs(
-        ctx->ifetch, a0, a1, a2, a3, NULL);
-    Py_DECREF(a0);
-    Py_DECREF(a1);
-    Py_DECREF(a2);
-    Py_DECREF(a3);
+    PyObject *res = PyObject_CallFunction(ctx->ifetch, "LLLL", pid, addr,
+                                          count, time);
     if (!res) {
         *err = 1;
         return 0;
     }
     long long v = PyLong_AsLongLong(res);
     Py_DECREF(res);
-    if (v == -1 && PyErr_Occurred()) {
+    if ((v == -1 && PyErr_Occurred()) || sync_in(ctx) < 0) {
         *err = 1;
         return 0;
     }
     return v;
 }
+
+/* ---------------------------------------------------------- data access */
 
 /* One read/write reference; mirrors the python data-event body. */
 static int
@@ -387,18 +879,17 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
         if (states[idx] && tags[idx] == (line >> ctx->tag_shift)) {
             ctx->d_reads[cl]++;
             done = inflight_done(ctx->cl_inflight[cl], line, start, &err);
-            if (err)
-                return -1;
         }
         else {
-            done = call_read_miss(ctx, cl, line, start, &err);
-            if (err)
-                return -1;
+            done = c_read_miss(ctx, cl, line, start, &err);
         }
+        if (err)
+            return -1;
     }
     else {
         if (states[idx] >= ST_MODIFIED
             && tags[idx] == (line >> ctx->tag_shift)) {
+            /* MODIFIED write hit, or the MESI silent E -> M upgrade. */
             states[idx] = ST_MODIFIED;
             ctx->d_writes[cl]++;
             done = inflight_done(ctx->cl_inflight[cl], line, start, &err);
@@ -415,8 +906,7 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
         }
         else {
             long long complete, retire;
-            if (call_write_line(ctx, cl, line, start, &complete,
-                                &retire) < 0)
+            if (c_write_line(ctx, cl, line, start, &complete, &retire) < 0)
                 return -1;
             done = complete;
             if (ctx->stall_on_writes) {
@@ -441,7 +931,120 @@ do_access(Ctx *ctx, long long cl, long long pid, int is_read,
     return 0;
 }
 
+/* ------------------------------------------------------------ processes */
+
+static void
+drop_chunk_view(Ctx *ctx, long long pid)
+{
+    if (ctx->chunk_obj[pid]) {
+        PyBuffer_Release(&ctx->chunk_view[pid]);
+        ctx->chunk_obj[pid] = NULL;
+    }
+}
+
+/* Switch to process ``pid`` the way _run_fast does: 0 if it has no
+ * chunk (its generator must run), 1 with ``*i``/``*sub``/``*time``
+ * loaded, -1 on error.  Chunk views are cached per process while the
+ * chunk object stays the same (the view keeps it alive, so identity
+ * cannot be recycled under us). */
+static int
+load_process(Ctx *ctx, long long pid, long long *i, long long *sub,
+             long long *time)
+{
+    PyObject *proc = ctx->procs[pid];
+    PyObject *chunk = pf_get(ctx, proc, F_CHUNK);
+    if (!chunk)
+        return -1;
+    if (chunk == Py_None) {
+        Py_DECREF(chunk);
+        return 0;
+    }
+    if (ctx->chunk_obj[pid] != chunk) {
+        drop_chunk_view(ctx, pid);
+        Py_buffer *view = &ctx->chunk_view[pid];
+        if (PyObject_GetBuffer(chunk, view, PyBUF_FORMAT) < 0) {
+            Py_DECREF(chunk);
+            return -1;
+        }
+        if (view->itemsize != 8 || !view->format
+            || strcmp(view->format, "q") != 0) {
+            PyBuffer_Release(view);
+            Py_DECREF(chunk);
+            PyErr_SetString(PyExc_TypeError,
+                            "packed chunks must be array('q')");
+            return -1;
+        }
+        ctx->chunk_obj[pid] = chunk;
+    }
+    Py_DECREF(chunk);
+    if (pf_get_ll(ctx, proc, F_CHUNK_POS, i) < 0
+        || pf_get_ll(ctx, proc, F_CHUNK_SUB, sub) < 0
+        || pf_get_ll(ctx, proc, F_TIME, time) < 0)
+        return -1;
+    return 1;
+}
+
+/* ``process.time, .chunk_pos, .chunk_sub = time, i, sub`` */
+static int
+store_process(Ctx *ctx, PyObject *proc, long long time, long long i,
+              long long sub)
+{
+    if (pf_set_ll(ctx, proc, F_TIME, time) < 0
+        || pf_set_ll(ctx, proc, F_CHUNK_POS, i) < 0
+        || pf_set_ll(ctx, proc, F_CHUNK_SUB, sub) < 0)
+        return -1;
+    return 0;
+}
+
+/* The pid of a popped scheduler entry (a new reference, consumed), or
+ * -1 with an exception set. */
+static long long
+heap_pid(Ctx *ctx, PyObject *item)
+{
+    if (!item)
+        return -1;
+    long long pid = -1;
+    if (PyTuple_Check(item) && PyTuple_GET_SIZE(item) == 3)
+        pid = PyLong_AsLongLong(PyTuple_GET_ITEM(item, 2));
+    Py_DECREF(item);
+    if (pid == -1 && PyErr_Occurred())
+        return -1;
+    if (pid < 0 || pid >= ctx->nproc || ctx->procs[pid] == Py_None) {
+        PyErr_Format(PyExc_RuntimeError,
+                     "scheduler heap names unknown process %lld", pid);
+        return -1;
+    }
+    return pid;
+}
+
+static int
+heap_top(Ctx *ctx, long long *next_time)
+{
+    if (PyList_GET_SIZE(ctx->heap) == 0) {
+        *next_time = NO_LIMIT;
+        return 0;
+    }
+    HKey k;
+    if (hkey(PyList_GET_ITEM(ctx->heap, 0), 1, &k) < 0)
+        return -1;
+    *next_time = k.a;
+    return 0;
+}
+
 /* ------------------------------------------------------------ lifecycle */
+
+static void
+ctx_free_arrays(Ctx *ctx)
+{
+    PyMem_Free(ctx->views);
+    PyMem_Free(ctx->cl_states);
+    PyMem_Free(ctx->cl_inflight);
+    PyMem_Free(ctx->procs);
+    PyMem_Free(ctx->chunk_view);
+    PyMem_Free(ctx->ic_states);
+    PyMem_Free(ctx->ic_mask);
+    PyMem_Free(ctx->m);
+}
 
 static void
 ctx_release(Ctx *ctx)
@@ -449,6 +1052,8 @@ ctx_release(Ctx *ctx)
     if (ctx->released)
         return;
     ctx->released = 1;
+    for (int p = 0; p < ctx->nproc; p++)
+        drop_chunk_view(ctx, p);
     for (int i = 0; i < ctx->nviews; i++)
         PyBuffer_Release(&ctx->views[i]);
     ctx->nviews = 0;
@@ -462,13 +1067,21 @@ ctx_destructor(PyObject *capsule)
     if (!ctx)
         return;
     ctx_release(ctx);
-    PyMem_Free(ctx->views);
-    PyMem_Free(ctx->cl_states);
-    PyMem_Free(ctx->cl_inflight);
-    PyMem_Free(ctx->ic_states);
-    PyMem_Free(ctx->ic_mask);
+    ctx_free_arrays(ctx);
     PyMem_Free(ctx);
 }
+
+/* plan = (per_cluster, objects, scal, ic_tuple, deltas, regs)
+ *   per_cluster[c] = (states, tags, bank_free, inflight, lost_lines,
+ *                     stats, interconnect, write_buffers)
+ *   objects = (interleaver, heap, bus, processes_by_pid, proc_cluster,
+ *              ifetch, queues)
+ *   scal = array('q', [idx_mask, tag_shift, line_shift, nbanks,
+ *                      bank_cycle, stall_on_writes, wb_depth,
+ *                      icache_mode, iline_shift, limit, bus_occupancy,
+ *                      upgrade_bus_occupancy, memory_latency, mesi])
+ */
+#define N_SCAL 14
 
 static PyObject *
 native_setup(PyObject *self, PyObject *plan)
@@ -479,52 +1092,69 @@ native_setup(PyObject *self, PyObject *plan)
         return NULL;
     }
     PyObject *per_cluster = PyTuple_GET_ITEM(plan, 0);
-    PyObject *callbacks = PyTuple_GET_ITEM(plan, 1);
+    PyObject *objects = PyTuple_GET_ITEM(plan, 1);
     PyObject *scal = PyTuple_GET_ITEM(plan, 2);
     PyObject *ic_tuple = PyTuple_GET_ITEM(plan, 3);
     PyObject *deltas = PyTuple_GET_ITEM(plan, 4);
     PyObject *regs = PyTuple_GET_ITEM(plan, 5);
+    if (!PyTuple_Check(per_cluster) || !PyTuple_Check(objects)
+        || PyTuple_GET_SIZE(objects) != 7 || !PyTuple_Check(ic_tuple)
+        || !PyTuple_Check(deltas) || PyTuple_GET_SIZE(deltas) != 10
+        || !PyTuple_Check(PyTuple_GET_ITEM(objects, 3))
+        || !PyList_Check(PyTuple_GET_ITEM(objects, 1))) {
+        PyErr_SetString(PyExc_TypeError, "malformed drain plan");
+        return NULL;
+    }
+    PyObject *procs = PyTuple_GET_ITEM(objects, 3);
 
     Ctx *ctx = PyMem_Calloc(1, sizeof(Ctx));
     if (!ctx)
         return PyErr_NoMemory();
     ctx->n_cl = (int)PyTuple_GET_SIZE(per_cluster);
-    ctx->nproc = (int)PyTuple_GET_SIZE(ic_tuple);
+    ctx->nproc = (int)PyTuple_GET_SIZE(procs);
+    int n_cl = ctx->n_cl > 0 ? ctx->n_cl : 1;
+    int np = ctx->nproc > 0 ? ctx->nproc : 1;
 
-    int max_views = 3 * ctx->n_cl + 2 * ctx->nproc + 16;
+    int max_views = 3 * n_cl + 2 * np + 16;
     ctx->views = PyMem_Calloc(max_views, sizeof(Py_buffer));
-    ctx->cl_states = PyMem_Calloc(3 * ctx->n_cl, sizeof(long long *));
-    ctx->cl_inflight = PyMem_Calloc(3 * ctx->n_cl, sizeof(PyObject *));
-    int nic = ctx->nproc > 0 ? ctx->nproc : 1;
-    ctx->ic_states = PyMem_Calloc(2 * nic, sizeof(long long *));
-    ctx->ic_mask = PyMem_Calloc(2 * nic, sizeof(long long));
+    ctx->cl_states = PyMem_Calloc(3 * n_cl, sizeof(long long *));
+    ctx->cl_inflight = PyMem_Calloc(5 * n_cl, sizeof(PyObject *));
+    ctx->procs = PyMem_Calloc(2 * np, sizeof(PyObject *));
+    ctx->chunk_view = PyMem_Calloc(np, sizeof(Py_buffer));
+    ctx->ic_states = PyMem_Calloc(2 * np, sizeof(long long *));
+    ctx->ic_mask = PyMem_Calloc(2 * np, sizeof(long long));
+    ctx->m = PyMem_Calloc((M_COUNT + 1) * n_cl, sizeof(long long));
     if (!ctx->views || !ctx->cl_states || !ctx->cl_inflight
-        || !ctx->ic_states || !ctx->ic_mask) {
-        PyMem_Free(ctx->views);
-        PyMem_Free(ctx->cl_states);
-        PyMem_Free(ctx->cl_inflight);
-        PyMem_Free(ctx->ic_states);
-        PyMem_Free(ctx->ic_mask);
+        || !ctx->procs || !ctx->chunk_view || !ctx->ic_states
+        || !ctx->ic_mask || !ctx->m) {
+        ctx_free_arrays(ctx);
         PyMem_Free(ctx);
         return PyErr_NoMemory();
     }
-    ctx->cl_tags = ctx->cl_states + ctx->n_cl;
-    ctx->cl_bank_free = ctx->cl_states + 2 * ctx->n_cl;
-    ctx->cl_scc = ctx->cl_inflight + ctx->n_cl;
-    ctx->cl_wbufs = ctx->cl_inflight + 2 * ctx->n_cl;
-    ctx->ic_tags = ctx->ic_states + nic;
-    ctx->ic_shift = ctx->ic_mask + nic;
+    ctx->cl_tags = ctx->cl_states + n_cl;
+    ctx->cl_bank_free = ctx->cl_states + 2 * n_cl;
+    ctx->cl_lost = ctx->cl_inflight + n_cl;
+    ctx->cl_stats = ctx->cl_inflight + 2 * n_cl;
+    ctx->cl_icn = ctx->cl_inflight + 3 * n_cl;
+    ctx->cl_wbufs = ctx->cl_inflight + 4 * n_cl;
+    ctx->chunk_obj = ctx->procs + np;
+    ctx->ic_tags = ctx->ic_states + np;
+    ctx->ic_shift = ctx->ic_mask + np;
+    ctx->m_wstall = ctx->m + M_COUNT * n_cl;
+    ctx->resume = RESUME_OUTER;
+    ctx->cur = -1;
 
     ctx->plan = plan;
     Py_INCREF(plan);
 
-    long long sc[10];
-    for (Py_ssize_t k = 0; k < 10; k++) {
+    long long sc[N_SCAL];
+    for (Py_ssize_t k = 0; k < N_SCAL; k++) {
         if (get_ll_item(scal, k, &sc[k]) < 0)
             goto fail;
     }
     ctx->idx_mask = sc[0];
     ctx->tag_shift = sc[1];
+    ctx->num_lines = sc[0] + 1;
     ctx->line_shift = sc[2];
     ctx->nbanks = sc[3];
     ctx->bank_cycle = sc[4];
@@ -533,9 +1163,17 @@ native_setup(PyObject *self, PyObject *plan)
     ctx->icache_mode = (int)sc[7];
     ctx->iline_shift = sc[8];
     ctx->limit = sc[9];
+    ctx->bus_occ = sc[10];
+    ctx->upg_occ = sc[11];
+    ctx->mem_lat = sc[12];
+    ctx->mesi = (int)sc[13];
 
     for (int c = 0; c < ctx->n_cl; c++) {
         PyObject *entry = PyTuple_GET_ITEM(per_cluster, c);
+        if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 8) {
+            PyErr_SetString(PyExc_TypeError, "malformed cluster plan");
+            goto fail;
+        }
         if (!(ctx->cl_states[c] =
                   acquire_ll(ctx, PyTuple_GET_ITEM(entry, 0))))
             goto fail;
@@ -546,10 +1184,33 @@ native_setup(PyObject *self, PyObject *plan)
                   acquire_ll(ctx, PyTuple_GET_ITEM(entry, 2))))
             goto fail;
         ctx->cl_inflight[c] = PyTuple_GET_ITEM(entry, 3);
-        ctx->cl_scc[c] = PyTuple_GET_ITEM(entry, 4);
-        ctx->cl_wbufs[c] = PyTuple_GET_ITEM(entry, 5);
+        ctx->cl_lost[c] = PyTuple_GET_ITEM(entry, 4);
+        ctx->cl_stats[c] = PyTuple_GET_ITEM(entry, 5);
+        ctx->cl_icn[c] = PyTuple_GET_ITEM(entry, 6);
+        ctx->cl_wbufs[c] = PyTuple_GET_ITEM(entry, 7);
+        if (!PyDict_Check(ctx->cl_inflight[c])
+            || !PySet_Check(ctx->cl_lost[c])
+            || !PyList_Check(ctx->cl_wbufs[c])
+            || PyList_GET_SIZE(ctx->cl_wbufs[c]) < ctx->nbanks) {
+            PyErr_SetString(PyExc_TypeError, "malformed cluster plan");
+            goto fail;
+        }
     }
-    for (int p = 0; p < ctx->nproc; p++) {
+    ctx->interleaver = PyTuple_GET_ITEM(objects, 0);
+    ctx->heap = PyTuple_GET_ITEM(objects, 1);
+    ctx->bus = PyTuple_GET_ITEM(objects, 2);
+    for (int p = 0; p < ctx->nproc; p++)
+        ctx->procs[p] = PyTuple_GET_ITEM(procs, p);
+    if (resolve_fields(ctx) < 0)
+        goto fail;
+    if (!(ctx->proc_cluster =
+              acquire_ll(ctx, PyTuple_GET_ITEM(objects, 4))))
+        goto fail;
+    ctx->ifetch = PyTuple_GET_ITEM(objects, 5);
+    ctx->queues = PyTuple_GET_ITEM(objects, 6);
+
+    for (Py_ssize_t p = 0; p < PyTuple_GET_SIZE(ic_tuple)
+                           && p < ctx->nproc; p++) {
         PyObject *entry = PyTuple_GET_ITEM(ic_tuple, p);
         if (!(ctx->ic_states[p] =
                   acquire_ll(ctx, PyTuple_GET_ITEM(entry, 0))))
@@ -562,10 +1223,6 @@ native_setup(PyObject *self, PyObject *plan)
         if (get_ll_item(entry, 3, &ctx->ic_shift[p]) < 0)
             goto fail;
     }
-    ctx->read_miss = PyTuple_GET_ITEM(callbacks, 0);
-    ctx->write_line = PyTuple_GET_ITEM(callbacks, 1);
-    ctx->ifetch = PyTuple_GET_ITEM(callbacks, 2);
-    ctx->queues = PyTuple_GET_ITEM(callbacks, 3);
 
     long long **dptr[10] = {
         &ctx->d_reads, &ctx->d_writes, &ctx->d_conf, &ctx->d_wbuf,
@@ -586,11 +1243,7 @@ native_setup(PyObject *self, PyObject *plan)
 
 fail:
     ctx_release(ctx);
-    PyMem_Free(ctx->views);
-    PyMem_Free(ctx->cl_states);
-    PyMem_Free(ctx->cl_inflight);
-    PyMem_Free(ctx->ic_states);
-    PyMem_Free(ctx->ic_mask);
+    ctx_free_arrays(ctx);
     PyMem_Free(ctx);
     return NULL;
 }
@@ -609,12 +1262,9 @@ native_release(PyObject *self, PyObject *capsule)
 /* --------------------------------------------------------------- drain */
 
 static PyObject *
-native_drain(PyObject *self, PyObject *args)
+native_drain(PyObject *self, PyObject *capsule)
 {
     (void)self;
-    PyObject *capsule, *chunk;
-    if (!PyArg_ParseTuple(args, "OO", &capsule, &chunk))
-        return NULL;
     Ctx *ctx = (Ctx *)PyCapsule_GetPointer(capsule, CTX_NAME);
     if (!ctx)
         return NULL;
@@ -622,28 +1272,95 @@ native_drain(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_RuntimeError, "drain on released context");
         return NULL;
     }
-    Py_buffer cview;
-    if (PyObject_GetBuffer(chunk, &cview, PyBUF_SIMPLE) < 0)
+    if (sync_in(ctx) < 0)
         return NULL;
-    const long long *data = (const long long *)cview.buf;
-    long long end = (long long)(cview.len / 8);
 
     long long *regs = ctx->regs;
-    long long i = regs[0];
-    long long sub = regs[1];
-    long long time = regs[2];
-    long long next_time = regs[3];
-    long long pid = regs[4];
-    long long cl = regs[5];
-    long long limit = ctx->limit;
     long long *misc = ctx->misc;
-    int status = STATUS_EXHAUSTED;
+    long long limit = ctx->limit;
+    long long pid = ctx->cur;
+    long long i = ctx->i;
+    long long sub = 0;
+    long long time = 0;
+    long long next_time = NO_LIMIT;
+    long long cl = 0;
+    const long long *data = NULL;
+    long long end = 0;
+    PyObject *proc = NULL;
+    int status, r;
 
+    if (ctx->resume == RESUME_ADVANCE) {
+        proc = ctx->procs[pid];
+        r = load_process(ctx, pid, &i, &sub, &time);
+        if (r < 0)
+            goto fail;
+        if (r == 0)
+            goto outer;
+        goto enter;
+    }
+    if (ctx->resume == RESUME_SYNC) {
+        /* Back from a lock/barrier handler: _run_fast's post-handler
+         * checks, with ``i`` already past the opcode. */
+        proc = ctx->procs[pid];
+        if (pf_get_ll(ctx, proc, F_TIME, &time) < 0)
+            goto fail;
+        int blocked = pf_get_bool(ctx, proc, F_BLOCKED);
+        int in_heap = blocked ? 0 : pf_get_bool(ctx, proc, F_IN_HEAP);
+        if (blocked < 0 || in_heap < 0)
+            goto fail;
+        if (blocked || in_heap) {
+            if (store_process(ctx, proc, time, i, 0) < 0)
+                goto fail;
+            goto outer;
+        }
+        if (heap_top(ctx, &next_time) < 0)
+            goto fail;
+        cl = ctx->proc_cluster[pid];
+        data = (const long long *)ctx->chunk_view[pid].buf;
+        end = (long long)(ctx->chunk_view[pid].len / 8);
+        if (time > next_time) {
+            if (store_process(ctx, proc, time, i, 0) < 0)
+                goto fail;
+            goto switch_out;
+        }
+        goto run;
+    }
+
+outer:
+    if (PyList_GET_SIZE(ctx->heap) == 0) {
+        ctx->resume = RESUME_OUTER;
+        status = STATUS_DONE;
+        goto out;
+    }
+    if ((pid = heap_pid(ctx, h_pop(ctx->heap, 1))) < 0)
+        goto fail;
+    proc = ctx->procs[pid];
+    if (pf_set(ctx, proc, F_IN_HEAP, Py_False) < 0)
+        goto fail;
+    r = load_process(ctx, pid, &i, &sub, &time);
+    if (r < 0)
+        goto fail;
+    if (r == 0)
+        goto advance;
+
+enter:
+    cl = ctx->proc_cluster[pid];
+    data = (const long long *)ctx->chunk_view[pid].buf;
+    end = (long long)(ctx->chunk_view[pid].len / 8);
+    if (heap_top(ctx, &next_time) < 0)
+        goto fail;
+
+run:
     while (i < end) {
+        /* Long stretches never cross into python: keep Ctrl-C alive. */
+        if ((++ctx->polls & 0xffff) == 0 && PyErr_CheckSignals() < 0)
+            goto fail;
         long long op = data[i];
         if (op == OP_READ || op == OP_WRITE || op == OP_COMPUTE) {
             if (time > limit)
                 goto limit_exceeded;
+            if (i + 2 > end)
+                goto truncated;
             long long operand = data[i + 1];
             i += 2;
             misc[0]++;
@@ -651,22 +1368,20 @@ native_drain(PyObject *self, PyObject *args)
                 if (operand) {
                     ctx->d_busy[pid] += operand;
                     time += operand;
-                    if (time > next_time) {
-                        status = STATUS_PREEMPT;
-                        break;
-                    }
+                    if (time > next_time)
+                        goto preempt;
                 }
                 continue;
             }
             if (do_access(ctx, cl, pid, op == OP_READ, operand,
                           &time) < 0)
                 goto fail;
-            if (time > next_time) {
-                status = STATUS_PREEMPT;
-                break;
-            }
+            if (time > next_time)
+                goto preempt;
         }
         else if (op == OP_READ_SPAN || op == OP_WRITE_SPAN) {
+            if (i + 4 > end)
+                goto truncated;
             long long base = data[i + 1];
             long long size = data[i + 2];
             long long stride = data[i + 3];
@@ -691,15 +1406,15 @@ native_drain(PyObject *self, PyObject *args)
                 i += 4;
             else
                 sub = offset;
-            if (preempted) {
-                status = STATUS_PREEMPT;
-                break;
-            }
+            if (preempted)
+                goto preempt;
         }
         else if (op == OP_IFETCH) {
             if (time > limit)
                 goto limit_exceeded;
             misc[0]++;
+            if (i + 3 > end)
+                goto truncated;
             long long count = data[i + 2];
             if (ctx->icache_mode == 0) {
                 ctx->d_busy[pid] += count;
@@ -723,6 +1438,7 @@ native_drain(PyObject *self, PyObject *args)
                         break;
                 }
                 if (iline_no > ilast) {
+                    /* Every line resident: no installs, no bus. */
                     ctx->d_icfetch[pid] +=
                         ilast - (addr >> ctx->iline_shift) + 1;
                     ctx->d_busy[pid] += count;
@@ -743,15 +1459,15 @@ native_drain(PyObject *self, PyObject *args)
                     goto fail;
             }
             i += 3;
-            if (time > next_time) {
-                status = STATUS_PREEMPT;
-                break;
-            }
+            if (time > next_time)
+                goto preempt;
         }
         else if (op == OP_ENQUEUE) {
             if (time > limit)
                 goto limit_exceeded;
             misc[0]++;
+            if (i + 3 > end)
+                goto truncated;
             PyObject *key = PyLong_FromLongLong(data[i + 1]);
             if (!key)
                 goto fail;
@@ -773,19 +1489,23 @@ native_drain(PyObject *self, PyObject *args)
             }
             Py_DECREF(key);
             PyObject *item = PyLong_FromLongLong(data[i + 2]);
-            PyObject *r = item ? PyObject_CallMethodObjArgs(
+            PyObject *res = item ? PyObject_CallMethodObjArgs(
                 q, s_append, item, NULL) : NULL;
             Py_XDECREF(item);
             Py_DECREF(q);
-            if (!r)
+            if (!res)
                 goto fail;
-            Py_DECREF(r);
+            Py_DECREF(res);
             i += 3;
         }
         else if (op == OP_DEQUEUE) {
             if (time > limit)
                 goto limit_exceeded;
             misc[0]++;
+            if (i + 2 > end)
+                goto truncated;
+            /* Replay-only: the recorded stream already took the branch,
+             * so the item is popped and discarded. */
             PyObject *key = PyLong_FromLongLong(data[i + 1]);
             if (!key)
                 goto fail;
@@ -798,42 +1518,110 @@ native_drain(PyObject *self, PyObject *args)
                 if (truthy < 0)
                     goto fail;
                 if (truthy) {
-                    PyObject *r = PyObject_CallMethodObjArgs(
+                    PyObject *res = PyObject_CallMethodObjArgs(
                         q, s_popleft, NULL);
-                    if (!r)
+                    if (!res)
                         goto fail;
-                    Py_DECREF(r);
+                    Py_DECREF(res);
                 }
             }
             i += 2;
         }
         else {
-            /* Synchronization or unknown opcode: the wrapper runs the
-             * handler (or raises the unknown-opcode error) for exact
-             * error/accounting parity with the python loop. */
+            /* Synchronization opcode: python runs the handler. */
             if (time > limit)
                 goto limit_exceeded;
+            misc[0]++;
+            if (pf_set_ll(ctx, proc, F_TIME, time) < 0)
+                goto fail;
+            long long width = op == OP_BARRIER ? 3 : 2;
+            if (op != OP_LOCK_ACQ && op != OP_LOCK_REL && op != OP_BARRIER) {
+                PyErr_Format(PyExc_ValueError,
+                             "unknown packed opcode %lld at %lld", op, i);
+                goto fail;
+            }
+            if (i + width > end)
+                goto truncated;
+            regs[0] = pid;
+            regs[1] = op;
+            regs[2] = data[i + 1];
+            regs[3] = op == OP_BARRIER ? data[i + 2] : 0;
+            i += width;
+            ctx->cur = pid;
+            ctx->resume = RESUME_SYNC;
             status = STATUS_SYNC;
-            break;
+            goto out;
         }
     }
+    /* Chunk exhausted: the generator resumes; it may hand back another
+     * chunk for the same process. */
+    if (store_process(ctx, proc, time, 0, 0) < 0
+        || pf_set(ctx, proc, F_CHUNK, Py_None) < 0)
+        goto fail;
+    drop_chunk_view(ctx, pid);
 
-    regs[0] = i;
-    regs[1] = sub;
-    regs[2] = time;
-    PyBuffer_Release(&cview);
+advance:
+    ctx->cur = pid;
+    ctx->resume = RESUME_ADVANCE;
+    regs[0] = pid;
+    status = STATUS_ADVANCE;
+    goto out;
+
+preempt:
+    if (store_process(ctx, proc, time, i, sub) < 0)
+        goto fail;
+
+switch_out:
+    /* Preempted by the heap top.  Because time exceeds the cached top,
+     * the pushed entry cannot be the one that comes back out, so push
+     * and pop fuse into one sift. */
+    ctx->seq++;
+    ctx->seq_dirty = 1;
+    if (pf_set(ctx, proc, F_IN_HEAP, Py_True) < 0)
+        goto fail;
+    {
+        PyObject *entry = PyTuple_New(3);
+        if (!entry)
+            goto fail;
+        long long key[3] = {time, ctx->seq, pid};
+        for (int k = 0; k < 3; k++) {
+            PyObject *v = PyLong_FromLongLong(key[k]);
+            if (!v) {
+                Py_DECREF(entry);
+                goto fail;
+            }
+            PyTuple_SET_ITEM(entry, k, v);
+        }
+        if ((pid = heap_pid(ctx, h_pushpop(ctx->heap, entry, 1))) < 0)
+            goto fail;
+    }
+    proc = ctx->procs[pid];
+    if (pf_set(ctx, proc, F_IN_HEAP, Py_False) < 0)
+        goto fail;
+    r = load_process(ctx, pid, &i, &sub, &time);
+    if (r < 0)
+        goto fail;
+    if (r == 0)
+        goto advance;
+    goto enter;
+
+out:
+    ctx->i = i;
+    if (sync_out(ctx) < 0)
+        return NULL;
     return PyLong_FromLong(status);
 
+truncated:
+    PyErr_SetString(PyExc_IndexError, "array index out of range");
+    goto fail;
 limit_exceeded:
     PyErr_Format(PyExc_RuntimeError, "simulation exceeded %lld cycles",
                  limit);
 fail:
-    regs[0] = i;
-    regs[1] = sub;
-    regs[2] = time;
-    PyBuffer_Release(&cview);
+    sync_out_on_error(ctx);
     return NULL;
 }
+
 
 /* ==================================================================== */
 /* Fused multi-configuration ladder (repro.trace.multiconfig)           */
@@ -857,7 +1645,9 @@ fail:
  * out).
  */
 
-#define ST_SHARED 1     /* repro.core.cache.SHARED */
+
+#define LSTATUS_DONE 0
+#define LSTATUS_SYNC 2
 
 typedef struct {
     PyObject *plan;
@@ -1428,7 +2218,7 @@ native_ladder_drain(PyObject *self, PyObject *args)
     long long shift0 = ctx->s_shift[0];
     long long *states0 = ctx->s_states[0];
     long long *tags0 = ctx->s_tags[0];
-    int status = STATUS_EXHAUSTED;
+    int status = LSTATUS_DONE;
 
     while (i < end) {
         long long op = data[i];
@@ -1585,7 +2375,7 @@ native_ladder_drain(PyObject *self, PyObject *args)
         }
         else {
             /* Queue, synchronization or unknown opcode: python side. */
-            status = STATUS_SYNC;
+            status = LSTATUS_SYNC;
             break;
         }
     }
@@ -1623,8 +2413,9 @@ fail:
 static PyMethodDef methods[] = {
     {"setup", native_setup, METH_O,
      "Parse a drain plan into a context capsule."},
-    {"drain", native_drain, METH_VARARGS,
-     "Consume packed events; returns 0/1/2 (exhausted/preempt/sync)."},
+    {"drain", native_drain, METH_O,
+     "Run the scheduler until python is needed; returns 0/1/2 "
+     "(done/advance/sync)."},
     {"release", native_release, METH_O,
      "Release the buffer views held by a context."},
     {"ladder_setup", native_ladder_setup, METH_O,
@@ -1638,9 +2429,37 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef moduledef = {
     PyModuleDef_HEAD_INIT, "_native",
-    "C inner loop for the packed replay interleaver.", -1, methods,
+    "C replay engine for the packed timing interleaver.", -1, methods,
     NULL, NULL, NULL, NULL,
 };
+
+static int
+intern_all(void)
+{
+    struct {
+        PyObject **slot;
+        const char *name;
+    } names[] = {
+        {&s_append, "append"}, {&s_popleft, "popleft"},
+        {&s_seq, "_seq"}, {&s_busy_until, "_busy_until"},
+        {&s_transactions, "transactions"},
+        {&s_busy_cycles, "busy_cycles"},
+        {&s_write_stall_cycles, "write_stall_cycles"},
+    };
+    for (size_t k = 0; k < sizeof(names) / sizeof(names[0]); k++) {
+        if (!(*names[k].slot = PyUnicode_InternFromString(names[k].name)))
+            return -1;
+    }
+    for (int k = 0; k < M_COUNT; k++) {
+        if (!(s_m[k] = PyUnicode_InternFromString(m_names[k])))
+            return -1;
+    }
+    for (int f = 0; f < F_COUNT; f++) {
+        if (!(s_f[f] = PyUnicode_InternFromString(f_names[f])))
+            return -1;
+    }
+    return 0;
+}
 
 PyMODINIT_FUNC
 PyInit__native(void)
@@ -1650,13 +2469,14 @@ PyInit__native(void)
         return NULL;
     g_deque = PyObject_GetAttrString(collections, "deque");
     Py_DECREF(collections);
-    if (!g_deque)
+    if (!g_deque || intern_all() < 0)
         return NULL;
-    s_append = PyUnicode_InternFromString("append");
-    s_popleft = PyUnicode_InternFromString("popleft");
-    s_complete = PyUnicode_InternFromString("complete");
-    s_retire = PyUnicode_InternFromString("retire");
-    if (!s_append || !s_popleft || !s_complete || !s_retire)
+    PyObject *module = PyModule_Create(&moduledef);
+    if (!module)
         return NULL;
-    return PyModule_Create(&moduledef);
+    if (PyModule_AddStringConstant(module, "ABI_VERSION", NATIVE_ABI) < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
 }

@@ -1,17 +1,28 @@
 """C-extension packed replay backend: loader, on-demand build, wrapper.
 
-``_native.c`` implements the interleaver's chunk-drain inner loop over
-raw ``int64_t*`` views of the shared ``array('q')`` tag/state/bank
-storage.  Python keeps everything rare: process switches (heap
-scheduling), generator resumes, synchronization handlers, and the
-coherence callbacks for misses -- the same division of labor the python
-fast path uses between its inline hit code and ``CoherenceController``.
+``_native.c`` runs the whole packed fast path of
+``TimingInterleaver._run_fast``: the process scheduler (the ``(time,
+seq, pid)`` heap and its fused push-and-pop preemption), the chunk
+drain, and the snoopy miss path of ``CoherenceController`` -- bus
+arbitration, remote invalidation and interventions, fills and dirty
+write-backs.  It works on the python model's own objects: raw
+``int64_t*`` views of the ``array('q')`` tag/state/bank storage, and
+the in-flight dicts, lost-line sets, write-buffer heaps, scheduler heap
+and ``_Process`` objects through the C API.  ``drain`` returns to this
+wrapper only for what needs python: generator resumes (a process with
+no chunk yet, or one that exhausted its chunk), the lock and barrier
+handlers, the end of the run and errors; instruction-cache refills call
+``system.ifetch`` from C.  Whenever control is in python the
+python-visible state equals what ``_run_fast`` would hold at that point
+(see ``_native.c``), so the handlers run unchanged.
 
 Loading strategy (graceful at every step, ``LOAD_ERROR`` records why a
 step failed):
 
 1. ``repro.trace.engine._native`` -- the setuptools ``Extension`` built
-   by ``pip install`` / ``python setup.py build_ext --inplace``.
+   by ``pip install`` / ``python setup.py build_ext --inplace``, if its
+   ``ABI_VERSION`` equals ``NATIVE_VERSION`` (a stale build left in the
+   tree is refused, and the reason kept in ``LOAD_ERROR``).
 2. On-demand compile of ``_native.c`` into a content-addressed cache
    directory (``$REPRO_NATIVE_CACHE`` or ``~/.cache/repro-native``),
    because the repo's documented mode of use is ``PYTHONPATH=src`` from
@@ -26,7 +37,6 @@ to assert the clean-fallback path).
 from __future__ import annotations
 
 import hashlib
-import heapq
 import importlib.util
 import os
 import subprocess
@@ -36,13 +46,14 @@ from array import array
 from pathlib import Path
 from typing import Optional
 
-from ..packed import OP_BARRIER, OP_LOCK_ACQ, OP_LOCK_REL
+from ..packed import OP_LOCK_ACQ, OP_LOCK_REL
 
 __all__ = ["NATIVE_VERSION", "LOAD_ERROR", "ladder_available", "load",
            "run"]
 
-#: Bump when the C ABI (plan layout, drain contract) changes.
-NATIVE_VERSION = "2"
+#: Bump with ``NATIVE_ABI`` in ``_native.c`` whenever the C ABI (plan
+#: layout, drain contract) changes; :func:`load` refuses a mismatch.
+NATIVE_VERSION = "3"
 
 LOAD_ERROR: Optional[str] = None
 
@@ -52,8 +63,8 @@ _mod = _UNSET
 _NO_LIMIT = (1 << 63) - 1
 
 # drain() statuses
-_EXHAUSTED = 0
-_PREEMPT = 1
+_DONE = 0
+_ADVANCE = 1
 _SYNC = 2
 
 
@@ -122,60 +133,77 @@ def _compile_on_demand() -> Optional[object]:
         return None
 
 
+def _abi_mismatch(module) -> Optional[str]:
+    """Why ``module`` cannot serve this wrapper, or ``None`` if it can."""
+    abi = getattr(module, "ABI_VERSION", None)
+    if abi == NATIVE_VERSION:
+        return None
+    where = getattr(module, "__file__", None) or module.__name__
+    return (f"stale extension {where}: ABI {abi!r}, "
+            f"wrapper needs {NATIVE_VERSION!r}")
+
+
 def load(rebuild: bool = False):
-    """The native extension module, or ``None`` (reason in LOAD_ERROR)."""
+    """The native extension module, or ``None`` (reason in LOAD_ERROR).
+
+    An installed extension built for another ABI (an old ``setup.py``
+    build left in the tree) is refused: the on-demand build takes over
+    and ``LOAD_ERROR`` keeps the reason.
+    """
     global _mod, LOAD_ERROR
     if _mod is not _UNSET and not rebuild:
         return _mod
     _mod = None
+    LOAD_ERROR = None
     if os.environ.get("REPRO_NATIVE", "").strip() == "0":
         LOAD_ERROR = "disabled via REPRO_NATIVE=0"
         return None
     try:
         from . import _native  # type: ignore[attr-defined]
-        _mod = _native
-        LOAD_ERROR = None
-        return _mod
     except ImportError:
         pass
-    _mod = _compile_on_demand()
-    if _mod is not None:
-        LOAD_ERROR = None
+    else:
+        LOAD_ERROR = _abi_mismatch(_native)
+        if LOAD_ERROR is None:
+            _mod = _native
+            return _mod
+    refused = LOAD_ERROR
+    built = _compile_on_demand()
+    if built is not None:
+        LOAD_ERROR = _abi_mismatch(built)
+        if LOAD_ERROR is None:
+            _mod = built
+            LOAD_ERROR = refused
+    elif refused and LOAD_ERROR != refused:
+        LOAD_ERROR = f"{refused}; {LOAD_ERROR}"
     return _mod
 
 
 def ladder_available() -> bool:
-    """Whether the loaded extension has the fused-ladder entry points.
-
-    A stale ``setup.py``-built ``_native`` predating the ladder ABI can
-    shadow the on-demand build; callers degrade to the python ladder
-    rather than fail.
-    """
-    mod = load()
-    return mod is not None and hasattr(mod, "ladder_setup")
+    """Whether the fused-ladder entry points can be used (the extension
+    loaded; :func:`load` already refused any ABI but this one)."""
+    return load() is not None
 
 
-def _qchunk(process):
-    """The process's chunk as ``array('q')`` (installed back in place).
+def _qchunk(process) -> None:
+    """Install the process's chunk back in place as ``array('q')``.
 
     Chunks are fully consumed before their generator resumes, so
     swapping the sequence object mid-drain is invisible to workloads
     that reuse builder lists.
     """
     data = process.chunk
-    if type(data) is array and data.typecode == "q":
-        return data
-    data = array("q", data)
-    process.chunk = data
-    return data
+    if data is not None and not (type(data) is array
+                                 and data.typecode == "q"):
+        process.chunk = array("q", data)
 
 
 def run(interleaver, max_cycles: Optional[int]) -> int:
     """Drop-in replacement for ``TimingInterleaver._run_fast``.
 
-    Clone of the python fast path's scheduler frame; the inner
-    chunk-drain loop runs in C (``drain``), returning only for process
-    switches, chunk exhaustion, and synchronization opcodes.
+    The scheduler, the chunk drain and the snoopy miss path run in C
+    (``drain``); this frame only runs what needs python -- generator
+    resumes and the lock/barrier handlers -- then hands control back.
     """
     native = load()
     self = interleaver
@@ -220,11 +248,21 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
         icache_mode,
         iline_shift,
         limit,
+        config.bus_occupancy,
+        config.upgrade_bus_occupancy,
+        config.memory_latency,
+        1 if config.protocol == "mesi" else 0,
     ])
     per_cluster = tuple(
         (scc.array._states, scc.array._tags, icn._bank_free,
-         scc._inflight, scc, icn._write_buffers)
+         scc._inflight, scc._lost_lines, scc.stats, icn,
+         icn._write_buffers)
         for scc, icn in zip(cl_scc, cl_icn))
+    for process in processes.values():
+        _qchunk(process)
+    objects = (self, heap, system.coherence.bus,
+               tuple(processes.get(p) for p in range(nproc)),
+               array("q", proc_cluster), system.ifetch, self._queues)
     if icache_mode == 1:
         ic_tuple = tuple(
             (ic.array._states, ic.array._tags, ic.array._index_mask,
@@ -242,11 +280,10 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
     d_finish = array("q", [-1] * nproc)
     d_icfetch = array("q", bytes(8 * nproc))
     misc = array("q", [0])
-    regs = array("q", [0] * 6)
+    regs = array("q", [0] * 4)
     plan = (
         per_cluster,
-        (system.coherence.read_miss, system.coherence.write_line,
-         system.ifetch, self._queues),
+        objects,
         scal,
         ic_tuple,
         (d_reads, d_writes, d_conf, d_wbuf, d_refs, d_busy, d_stall,
@@ -254,121 +291,38 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
         regs,
     )
     ctx = native.setup(plan)
+    # Looked up per run (not at import) so a wrapped module attribute
+    # sees every round trip.
     drain = native.drain
 
-    pop = heapq.heappop
-    pushpop = heapq.heappushpop
     advance = self._advance
-    ev = 0
     finish_time = 0
-    pending = -1
     try:
         while True:
-            if pending >= 0:
-                pid = pending
-                pending = -1
-                process = processes[pid]
-            else:
-                if not heap:
-                    break
-                pid = pop(heap)[2]
-                process = processes[pid]
-                process.in_heap = False
-            if process.chunk is None:
-                finish = advance(process, max_cycles)
-                if finish is not None and finish > finish_time:
-                    finish_time = finish
-                if process.chunk is None:
-                    continue
-            data = _qchunk(process)
-            regs[0] = process.chunk_pos
-            regs[1] = process.chunk_sub
-            regs[2] = process.time
-            regs[3] = heap[0][0] if heap else _NO_LIMIT
-            regs[4] = pid
-            regs[5] = proc_cluster[pid]
-            while True:
-                status = drain(ctx, data)
-                if status == _SYNC:
-                    i = regs[0]
-                    time = regs[2]
-                    op = data[i]
-                    ev += 1
-                    process.time = time
-                    if op == OP_LOCK_ACQ:
-                        self._lock_acquire(process, data[i + 1])
-                        i += 2
-                    elif op == OP_LOCK_REL:
-                        self._lock_release(process, data[i + 1])
-                        i += 2
-                    elif op == OP_BARRIER:
-                        self._barrier(process, data[i + 1], data[i + 2])
-                        i += 3
-                    else:
-                        # C defers unknown opcodes here so the error and
-                        # the accounting before it match the python loop.
-                        raise ValueError(
-                            f"unknown packed opcode {op} at {i}")
-                    time = process.time
-                    if process.blocked or process.in_heap:
-                        process.chunk_pos = i
-                        process.chunk_sub = 0
-                        break
-                    next_time = heap[0][0] if heap else _NO_LIMIT
-                    if time <= next_time:
-                        regs[0] = i
-                        regs[1] = 0
-                        regs[2] = time
-                        regs[3] = next_time
-                        continue
-                    process.chunk_pos = i
-                    process.chunk_sub = 0
-                elif status == _EXHAUSTED:
-                    process.time = regs[2]
-                    process.chunk = None
-                    process.chunk_pos = 0
-                    process.chunk_sub = 0
-                    finish = advance(process, max_cycles)
-                    if finish is not None:
-                        if finish > finish_time:
-                            finish_time = finish
-                        break
-                    if process.chunk is None:
-                        break
-                    data = _qchunk(process)
-                    regs[0] = 0
-                    regs[1] = 0
-                    regs[2] = process.time
-                    regs[3] = heap[0][0] if heap else _NO_LIMIT
-                    continue
+            status = drain(ctx)
+            if status == _DONE:
+                break
+            process = processes[regs[0]]
+            if status == _SYNC:
+                op = regs[1]
+                if op == OP_LOCK_ACQ:
+                    self._lock_acquire(process, regs[2])
+                elif op == OP_LOCK_REL:
+                    self._lock_release(process, regs[2])
                 else:
-                    time = regs[2]
-                    process.chunk_pos = regs[0]
-                    process.chunk_sub = regs[1]
-                # Preempted by the heap top (either by the C loop or by a
-                # sync handler that advanced past it): one fused
-                # push-and-pop, exactly like the python fast path.
-                time = regs[2] if status == _PREEMPT else process.time
-                process.time = time
-                self._seq += 1
-                process.in_heap = True
-                npid = pushpop(heap, (time, self._seq, pid))[2]
-                process = processes[npid]
-                process.in_heap = False
-                if process.chunk is None:
-                    pending = npid
-                    break
-                pid = npid
-                data = _qchunk(process)
-                regs[0] = process.chunk_pos
-                regs[1] = process.chunk_sub
-                regs[2] = process.time
-                regs[3] = heap[0][0] if heap else _NO_LIMIT
-                regs[4] = pid
-                regs[5] = proc_cluster[pid]
+                    self._barrier(process, regs[2], regs[3])
+                continue
+            finish = advance(process, max_cycles)
+            if finish is not None and finish > finish_time:
+                finish_time = finish
+            _qchunk(process)
+            if process.chunk is None and not heap:
+                # Nothing left to schedule: the next drain would only
+                # report the empty heap.
+                break
     finally:
         native.release(ctx)
-        self.events_processed += ev + misc[0]
+        self.events_processed += misc[0]
         for c in range(n_cl):
             sstats = cl_scc[c].stats
             if d_reads[c]:
@@ -379,11 +333,7 @@ def run(interleaver, max_cycles: Optional[int]) -> int:
                 sstats.bank_conflict_cycles += d_conf[c]
                 cl_icn[c].conflict_cycles += d_conf[c]
             if d_wbuf[c]:
-                # The C loop inlines reserve_write_slot, so the
-                # interconnect's own stall counter is settled here too
-                # (the python method updates it as it goes).
                 sstats.write_buffer_stall_cycles += d_wbuf[c]
-                cl_icn[c].write_stall_cycles += d_wbuf[c]
         for p in range(nproc):
             refs = d_refs[p]
             busy = d_busy[p]

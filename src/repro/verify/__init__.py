@@ -27,12 +27,12 @@ from .differ import PathResult, TapeDivergence, diff_tape, run_tape
 from .fuzz import FuzzDivergence, FuzzReport, default_repro_dir, run_fuzz
 from .oracle import FunctionalOracle, OracleViolation
 from .shrink import shrink_tape, write_repro
-from .tapes import (Tape, TapeApplication, generate_tape, tape_from_json,
-                    tape_to_json)
+from .tapes import (Tape, TapeApplication, generate_contended_tape,
+                    generate_tape, tape_from_json, tape_to_json)
 
 __all__ = [
-    "Tape", "TapeApplication", "generate_tape", "tape_from_json",
-    "tape_to_json",
+    "Tape", "TapeApplication", "generate_contended_tape", "generate_tape",
+    "tape_from_json", "tape_to_json",
     "FunctionalOracle", "OracleViolation",
     "PathResult", "TapeDivergence", "diff_tape", "run_tape",
     "shrink_tape", "write_repro",

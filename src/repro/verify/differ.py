@@ -42,7 +42,6 @@ from ..trace.engine import available_backends
 from ..trace.interleave import TimingInterleaver, fused_replay_ok
 from ..trace import multiconfig
 from ..trace.multiconfig import fused_ladder_results, fused_ladder_supported
-from ..trace.packed import PackedChunk
 from .oracle import FunctionalOracle
 from .tapes import Tape
 
@@ -96,9 +95,8 @@ class TapeDivergence:
 
 
 def _chunk_processes(interleaver: TimingInterleaver, tape: Tape) -> None:
-    for pid, stream in sorted(tape.streams.items()):
-        interleaver.add_process(pid, iter([PackedChunk(array("q",
-                                                             stream))]))
+    for pid in sorted(tape.streams):
+        interleaver.add_process(pid, iter(tape.chunks(pid)))
 
 
 @dataclass(frozen=True)

@@ -76,10 +76,12 @@ def run_fuzz(seed: int = 0, budget: int = 200, shrink: bool = True,
              out_dir: Optional[Path] = None,
              progress: Optional[Callable] = None,
              max_cycles: int = DEFAULT_MAX_CYCLES,
-             max_shrink_checks: int = DEFAULT_MAX_CHECKS) -> FuzzReport:
+             max_shrink_checks: int = DEFAULT_MAX_CHECKS,
+             generate: Callable[[str], Tape] = generate_tape) -> FuzzReport:
     """Fuzz ``budget`` tapes derived from ``seed``; never raises for
     per-case failures.  ``progress(index, budget, status, case_seed)``
-    is called once per case when given."""
+    is called once per case when given; ``generate`` picks the tape
+    family (e.g. :func:`~repro.verify.tapes.generate_contended_tape`)."""
     registry = MetricsRegistry()
     report = FuzzReport(seed=seed, budget=budget)
 
@@ -91,7 +93,7 @@ def run_fuzz(seed: int = 0, budget: int = 200, shrink: bool = True,
         count("total")
         report.cases += 1
         try:
-            tape = generate_tape(case_seed)
+            tape = generate(case_seed)
             divergence = diff_tape(tape, max_cycles=max_cycles)
         except Exception as exc:  # quarantine, keep fuzzing
             count("quarantined")

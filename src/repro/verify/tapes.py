@@ -10,6 +10,11 @@ geometries across the whole supported envelope (1-8 processors over 1-4
 clusters, MSI and MESI, direct-mapped and 2-way arrays, write buffering
 on and off, optional instruction-cache modelling).
 
+:func:`generate_contended_tape` is a second family aimed at the
+multi-processor machinery: 4-8 processors over 2-4 clusters sharing
+16-32-line SCCs, a write-heavy shared pool, and every stream split into
+several chunks so schedulers resume processes across chunk boundaries.
+
 Generation is a pure function of the seed, so a tape never needs to be
 stored to be reproduced -- but tapes also round-trip through JSON
 (:func:`tape_to_json`) for the shrunk repros committed as regression
@@ -28,10 +33,12 @@ from ..core.config import SystemConfig
 from ..trace.packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE,
                             OP_ENQUEUE, OP_IFETCH, OP_LOCK_ACQ,
                             OP_LOCK_REL, OP_READ, OP_READ_SPAN, OP_WRITE,
-                            OP_WRITE_SPAN, PackedChunk, event_count)
+                            OP_WIDTH, OP_WRITE_SPAN, PackedChunk,
+                            event_count)
 
 __all__ = ["TAPE_FORMAT_VERSION", "Tape", "TapeApplication",
-           "generate_tape", "tape_to_json", "tape_from_json"]
+           "generate_contended_tape", "generate_tape", "tape_to_json",
+           "tape_from_json"]
 
 TAPE_FORMAT_VERSION = 1
 
@@ -47,6 +54,10 @@ class Tape:
     streams: Dict[int, List[int]]
     """Packed ints per machine-global processor id."""
 
+    chunk_ops: int = 0
+    """Opcodes per :class:`PackedChunk` when replayed (0: each stream is
+    one chunk)."""
+
     def config(self) -> SystemConfig:
         return SystemConfig(**self.config_kwargs)
 
@@ -57,20 +68,38 @@ class Tape:
     def replaced(self, streams: Dict[int, List[int]]) -> "Tape":
         """The same machine driven by different streams (shrinking)."""
         return Tape(seed=self.seed, config_kwargs=dict(self.config_kwargs),
-                    streams=streams)
+                    streams=streams, chunk_ops=self.chunk_ops)
+
+    def chunks(self, pid: int) -> List[PackedChunk]:
+        """Processor ``pid``'s stream as the chunks a replay yields, split
+        at opcode boundaries every ``chunk_ops`` opcodes."""
+        stream = self.streams[pid]
+        if not self.chunk_ops:
+            return [PackedChunk(array("q", stream))]
+        chunks = []
+        start = i = ops = 0
+        while i < len(stream):
+            i += OP_WIDTH[stream[i]]
+            ops += 1
+            if ops == self.chunk_ops:
+                chunks.append(PackedChunk(array("q", stream[start:i])))
+                start, ops = i, 0
+        if start < len(stream):
+            chunks.append(PackedChunk(array("q", stream[start:])))
+        return chunks
 
 
 class TapeApplication:
     """Adapter presenting a tape as a traced application: each stream is
-    yielded as a single :class:`PackedChunk`, identically to every
+    yielded as the tape's :meth:`Tape.chunks`, identically to every
     execution path."""
 
     def __init__(self, tape: Tape):
         self.tape = tape
 
     def processes(self, config: SystemConfig) -> Dict[int, Iterator]:
-        return {pid: iter([PackedChunk(array("q", stream))])
-                for pid, stream in sorted(self.tape.streams.items())}
+        return {pid: iter(self.tape.chunks(pid))
+                for pid in sorted(self.tape.streams)}
 
 
 # ----------------------------------------------------------------------
@@ -133,30 +162,38 @@ def _address_pools(rng: random.Random,
     return pools
 
 
+#: Cumulative thresholds of the body opcode mix: read, write, compute,
+#: span, ifetch, critical section (the rest are task-queue ops).
+_MIX = (0.30, 0.55, 0.63, 0.71, 0.78, 0.90)
+_WRITE_HEAVY_MIX = (0.20, 0.60, 0.64, 0.72, 0.80, 0.93)
+
+
 def _emit_body(rng: random.Random, buf: List[int], proc: int,
-               pools: Dict[int, List[int]], config: SystemConfig) -> None:
+               pools: Dict[int, List[int]], config: SystemConfig,
+               mix=_MIX, shared: float = 0.75) -> None:
     def pick_addr() -> int:
-        pool = pools[-1] if rng.random() < 0.75 else pools[proc]
+        pool = pools[-1] if rng.random() < shared else pools[proc]
         return rng.choice(pool)
 
+    read, write, compute, span, ifetch, locked = mix
     for _ in range(rng.randrange(5, 31)):
         r = rng.random()
-        if r < 0.30:
+        if r < read:
             buf.extend((OP_READ, pick_addr()))
-        elif r < 0.55:
+        elif r < write:
             buf.extend((OP_WRITE, pick_addr()))
-        elif r < 0.63:
+        elif r < compute:
             buf.extend((OP_COMPUTE, rng.randrange(0, 40)))
-        elif r < 0.71:
+        elif r < span:
             op = OP_READ_SPAN if rng.random() < 0.5 else OP_WRITE_SPAN
             base = pick_addr() & ~(config.line_size - 1)
             buf.extend((op, base, rng.randrange(2, 7) * config.line_size,
                         config.line_size))
-        elif r < 0.78 and config.model_icache:
+        elif r < ifetch and config.model_icache:
             buf.extend((OP_IFETCH,
                         rng.randrange(16) * config.icache_line_size,
                         rng.randrange(1, 8)))
-        elif r < 0.90:
+        elif r < locked:
             # A lock-scoped critical section; locks never span a body,
             # so generated tapes cannot deadlock.
             lock_id = rng.randrange(3)
@@ -173,23 +210,69 @@ def _emit_body(rng: random.Random, buf: List[int], proc: int,
                 buf.extend((OP_DEQUEUE, queue_id))
 
 
+def _emit_rounds(rng: random.Random, config: SystemConfig,
+                 pools: Dict[int, List[int]], **body) -> Dict[int, List[int]]:
+    procs = config.total_processors
+    streams: Dict[int, List[int]] = {proc: [] for proc in range(procs)}
+    for barrier_id in range(rng.randrange(1, 4)):
+        for proc in range(procs):
+            _emit_body(rng, streams[proc], proc, pools, config, **body)
+        # Every round ends at a global barrier: all processors arrive,
+        # so multi-processor tapes stay deadlock-free by construction.
+        for proc in range(procs):
+            streams[proc].extend((OP_BARRIER, barrier_id, procs))
+    return streams
+
+
 def generate_tape(seed) -> Tape:
     """The tape for ``seed`` (any value with a stable ``str``)."""
     rng = random.Random(str(seed))
     config_kwargs = _sample_config(rng)
     config = SystemConfig(**config_kwargs)
     pools = _address_pools(rng, config)
-    procs = config.total_processors
-    streams: Dict[int, List[int]] = {proc: [] for proc in range(procs)}
-    for barrier_id in range(rng.randrange(1, 4)):
-        for proc in range(procs):
-            _emit_body(rng, streams[proc], proc, pools, config)
-        # Every round ends at a global barrier: all processors arrive,
-        # so multi-processor tapes stay deadlock-free by construction.
-        for proc in range(procs):
-            streams[proc].extend((OP_BARRIER, barrier_id, procs))
     return Tape(seed=str(seed), config_kwargs=config_kwargs,
-                streams=streams)
+                streams=_emit_rounds(rng, config, pools))
+
+
+def generate_contended_tape(seed) -> Tape:
+    """A many-processor, small-SCC tape for ``seed``.
+
+    4-8 processors over 2-4 clusters share 16- or 32-line direct-mapped
+    SCCs and mostly write a common pool, so nearly every access is a
+    bus transaction: upgrades, remote invalidations, interventions and
+    dirty write-backs all collide.  MSI and MESI, ``stall_on_writes``
+    and the instruction cache are each on about half the time, and
+    every stream replays as chunks of a few opcodes.
+    """
+    rng = random.Random(f"contended:{seed}")
+    clusters = rng.choice((2, 3, 4))
+    ppc = rng.choice({2: (2, 3, 4), 3: (2,), 4: (1, 2)}[clusters])
+    lines = rng.choice((16, 32))
+    config_kwargs: Dict[str, object] = dict(
+        clusters=clusters,
+        processors_per_cluster=ppc,
+        scc_size=lines * 16,
+        protocol=rng.choice(("msi", "mesi")),
+        line_size=16,
+        memory_latency=rng.randrange(20, 121),
+        bus_occupancy=rng.randrange(1, 9),
+        upgrade_bus_occupancy=rng.randrange(0, 5),
+        write_buffer_depth=rng.choice((1, 2, 4)),
+        stall_on_writes=rng.random() < 0.5,
+        bank_cycle_time=rng.choice((1, 2)),
+        lock_overhead=rng.randrange(1, 17),
+        barrier_overhead=rng.randrange(1, 33),
+    )
+    if rng.random() < 0.5:
+        config_kwargs.update(model_icache=True, icache_size=256,
+                             icache_line_size=32,
+                             icache_miss_latency=rng.randrange(20, 101))
+    config = SystemConfig(**config_kwargs)
+    pools = _address_pools(rng, config)
+    streams = _emit_rounds(rng, config, pools, mix=_WRITE_HEAVY_MIX,
+                           shared=0.9)
+    return Tape(seed=f"contended:{seed}", config_kwargs=config_kwargs,
+                streams=streams, chunk_ops=rng.randrange(2, 9))
 
 
 # ----------------------------------------------------------------------
@@ -197,13 +280,16 @@ def generate_tape(seed) -> Tape:
 # ----------------------------------------------------------------------
 
 def tape_to_json(tape: Tape) -> str:
-    return json.dumps({
+    payload = {
         "version": TAPE_FORMAT_VERSION,
         "seed": tape.seed,
         "config": tape.config_kwargs,
         "streams": {str(proc): list(stream)
                     for proc, stream in sorted(tape.streams.items())},
-    }, sort_keys=True, indent=1)
+    }
+    if tape.chunk_ops:
+        payload["chunk_ops"] = tape.chunk_ops
+    return json.dumps(payload, sort_keys=True, indent=1)
 
 
 def tape_from_json(text: str) -> Tape:
@@ -214,4 +300,5 @@ def tape_from_json(text: str) -> Tape:
     return Tape(seed=str(payload["seed"]),
                 config_kwargs=dict(payload["config"]),
                 streams={int(proc): list(stream)
-                         for proc, stream in payload["streams"].items()})
+                         for proc, stream in payload["streams"].items()},
+                chunk_ops=int(payload.get("chunk_ops", 0)))

@@ -207,6 +207,38 @@ class TestBench:
         assert point["packed_s"] > 0
         assert point["generator_s"] > 0
 
+    def test_bench_packed_races_a_micro_loop_and_a_real_tape(
+            self, capsys, tmp_path, monkeypatch):
+        import json
+        from array import array
+        from repro import cli
+        from repro.core.config import SystemConfig
+        from repro.trace.packed import OP_READ, OP_WRITE
+        from repro.verify import generate_contended_tape
+        tape = generate_contended_tape(1)
+        monkeypatch.setattr(cli, "_packed_replay_stream",
+                            lambda: array("q", [OP_READ, 0, OP_WRITE, 64]
+                                          * 50))
+        monkeypatch.setattr(cli, "_recorded_barnes_hut_tape",
+                            lambda: (SystemConfig(**tape.config_kwargs),
+                                     {pid: array("q", s) for pid, s
+                                      in tape.streams.items()}))
+        out_path = tmp_path / "bench.json"
+        assert main(["bench", "--repeat", "1", "--scenario", "packed",
+                     "--out", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        assert "micro-benchmark:" in out
+        assert "recorded tape: Barnes-Hut" in out
+        packed = json.loads(out_path.read_text())["packed_engines"]
+        assert packed["micro"]["kind"] == "micro-benchmark"
+        assert packed["barnes_hut_8p_8kb"]["kind"] == "recorded tape"
+        for row in (packed["micro"], packed["barnes_hut_8p_8kb"]):
+            assert row["events"] > 0
+            assert row["python_events_per_s"] > 0
+            for name in ("numpy", "native"):
+                if f"{name}_events_per_s" in row:
+                    assert row[f"{name}_speedup"] > 0
+
 
 class TestOptimizeCommand:
     @pytest.fixture

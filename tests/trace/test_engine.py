@@ -58,6 +58,23 @@ class TestResolveBackend:
         with pytest.raises(RuntimeError):
             engine.resolve_backend("numpy", strict=True)
 
+    def test_auto_never_picks_numpy(self, monkeypatch):
+        import repro.trace.engine as engine
+        monkeypatch.setattr(engine, "numpy_available", lambda: True)
+        monkeypatch.setattr(engine, "native_available", lambda: False)
+        monkeypatch.setattr(engine, "native_unavailable_reason",
+                            lambda: "no compiler")
+        assert engine.resolve_backend("auto") == "python"
+        assert engine.resolve_backend("native") == "python"
+        assert engine.resolve_backend("numpy") == "numpy"
+        assert engine.engine_degradation("auto") == (
+            "native tier unavailable (no compiler); "
+            "running on the python tier")
+        assert engine.engine_degradation("numpy") is None
+        monkeypatch.setattr(engine, "native_available", lambda: True)
+        assert engine.resolve_backend("auto") == "native"
+        assert engine.engine_degradation("auto") is None
+
     def test_python_is_always_available(self):
         assert "python" in available_backends()
         assert set(available_backends()) <= set(BACKEND_CHOICES)

@@ -53,3 +53,14 @@ class TestCampaign:
         second = run_fuzz(seed=11, budget=6, out_dir=tmp_path)
         assert first.counters == second.counters
         assert first.ok and second.ok
+
+
+def test_contended_family_is_clean_on_every_engine(tmp_path):
+    """About a hundred many-processor, small-SCC, multi-chunk tapes
+    through the differ: every registered engine must agree."""
+    from repro.verify import generate_contended_tape
+    report = run_fuzz(seed=0, budget=100, out_dir=tmp_path,
+                      generate=generate_contended_tape)
+    assert report.ok, [(d.case_seed, d.kind, d.detail[:2])
+                       for d in report.divergences] + report.quarantined
+    assert report.counters == {"total": 100, "clean": 100}

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.trace.events import Barrier, LockAcquire, LockRelease
-from repro.trace.packed import PackedChunk, decode_events
-from repro.verify import (Tape, TapeApplication, generate_tape,
-                          tape_from_json, tape_to_json)
+from repro.trace.packed import OP_WIDTH, PackedChunk, decode_events
+from repro.verify import (Tape, TapeApplication, generate_contended_tape,
+                          generate_tape, tape_from_json, tape_to_json)
 
 SEEDS = [f"tapes:{i}" for i in range(25)]
 
@@ -118,3 +118,62 @@ class TestPersistence:
                                                 "scc_size": 512},
                     streams={0: [1, 0, 2, 16]})
         assert tape_from_json(tape_to_json(tape)).streams == tape.streams
+
+
+class TestContendedFamily:
+    """The many-processor x small-SCC family."""
+
+    def test_envelope(self):
+        tapes = [generate_contended_tape(i) for i in range(60)]
+        configs = [tape.config() for tape in tapes]
+        assert all(4 <= c.total_processors <= 8 for c in configs)
+        assert all(2 <= c.clusters <= 4 for c in configs)
+        assert all(c.scc_lines in (16, 32) for c in configs)
+        assert all(c.associativity == 1 for c in configs)
+        for flag in (lambda c: c.protocol == "mesi",
+                     lambda c: c.stall_on_writes,
+                     lambda c: c.model_icache):
+            assert 0 < sum(map(flag, configs)) < len(configs)
+        assert all(tape.chunk_ops > 1 for tape in tapes)
+
+    def test_write_heavy(self):
+        writes = reads = 0
+        for i in range(20):
+            tape = generate_contended_tape(i)
+            for stream in tape.streams.values():
+                for event in decode_events(stream):
+                    writes += type(event).__name__ == "Write"
+                    reads += type(event).__name__ == "Read"
+        assert writes > reads
+
+    def test_deterministic_and_distinct(self):
+        assert (generate_contended_tape(5).streams
+                == generate_contended_tape(5).streams)
+        assert (generate_contended_tape(5).streams
+                != generate_contended_tape(6).streams)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_chunks_split_streams_at_opcode_boundaries(self, seed):
+        tape = generate_contended_tape(seed)
+        processes = TapeApplication(tape).processes(tape.config())
+        split = 0
+        for pid, iterator in processes.items():
+            chunks = list(iterator)
+            split += len(chunks) > 1
+            joined = [value for chunk in chunks for value in chunk.data]
+            assert joined == list(tape.streams[pid])
+            for chunk in chunks:
+                ops = i = 0
+                while i < len(chunk.data):
+                    i += OP_WIDTH[chunk.data[i]]
+                    ops += 1
+                assert i == len(chunk.data)
+                assert 0 < ops <= tape.chunk_ops
+        assert split
+
+    def test_json_roundtrip_keeps_chunking(self):
+        tape = generate_contended_tape(3)
+        restored = tape_from_json(tape_to_json(tape))
+        assert restored.chunk_ops == tape.chunk_ops
+        assert restored.streams == tape.streams
+        assert restored.replaced(restored.streams).chunk_ops == tape.chunk_ops
