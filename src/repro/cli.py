@@ -970,20 +970,28 @@ def _bench_analytical(repeat: int) -> dict:
     surrogate only prices points from the cached profile.  Exactness
     differs by construction here -- the model is exact on this row --
     but the bench reports the observed error rather than asserting it.
+
+    It also times one cold row-profile build of the row's tape on each
+    builder (the python reference and, when the extension loads, the
+    native kernels) and reports which one the sweep session used.
     """
     import shutil
     import tempfile
     import time
     from pathlib import Path
     from .experiments.runner import PAPER_LADDER, PROFILES, ResultCache
-    from .experiments.session import run_sweep
+    from .experiments.session import SweepSession, run_sweep
     from .experiments.spec import SweepSpec
-    from .trace.record import TraceCache
+    from .model.profile import build_row_profile
+    from .trace.engine import native_available
+    from .trace.record import StreamRecorder, TraceCache
     profile = PROFILES["quick"]
     ladder = PAPER_LADDER
     procs = (1,)
     scratch = Path(tempfile.mkdtemp(prefix="repro-bench-"))
     timings = {"fused": [], "analytical": []}
+    builders = ["python"] + (["native"] if native_available() else [])
+    build_s = {engine: [] for engine in builders}
     try:
         trace_cache = TraceCache(scratch / "traces")
         specs = {fidelity: SweepSpec.from_cli_args(
@@ -994,9 +1002,12 @@ def _bench_analytical(repeat: int) -> dict:
         reference = run_sweep(specs["fused"],
                               cache=ResultCache(scratch / "warm-f"),
                               trace_cache=trace_cache)
-        surrogate = run_sweep(specs["analytical"],
-                              cache=ResultCache(scratch / "warm-a"),
-                              trace_cache=trace_cache)
+        session = SweepSession(specs["analytical"],
+                               cache=ResultCache(scratch / "warm-a"),
+                               trace_cache=trace_cache)
+        surrogate = session.run().sweep
+        profile_sources = session.registry.counter_group(
+            "session.profiles")
         error = max(abs(surrogate[point].miss_rate
                         - reference[point].miss_rate)
                     for point in reference)
@@ -1008,10 +1019,24 @@ def _bench_analytical(repeat: int) -> dict:
                               scratch / f"results-{fidelity}-{index}"),
                           trace_cache=trace_cache)
                 timings[fidelity].append(time.perf_counter() - begin)
+        configs = specs["analytical"].configs()
+        config0 = configs[(procs[0], min(ladder))]
+        tracked = sorted({configs[(procs[0], paper_bytes)].scc_lines
+                          for paper_bytes in ladder})
+        recorder = StreamRecorder(profile.workload("multiprogramming"))
+        run_simulation(config0, recorder)
+        for _ in range(max(1, repeat)):
+            for engine in builders:
+                begin = time.perf_counter()
+                build_row_profile(recorder.streams, config0, tracked,
+                                  backend=engine)
+                build_s[engine].append(time.perf_counter() - begin)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     fused_s = min(timings["fused"])
     analytical_s = min(timings["analytical"])
+    python_build_s = min(build_s["python"])
+    native_build_s = min(build_s["native"]) if "native" in build_s else None
     return {
         "grid": f"multiprogramming quick, ladder={sorted(ladder)}, "
                 f"procs={list(procs)}, warm trace+profile caches",
@@ -1019,6 +1044,13 @@ def _bench_analytical(repeat: int) -> dict:
         "analytical_warm_s": round(analytical_s, 4),
         "speedup": round(fused_s / analytical_s, 2),
         "max_abs_miss_ratio_error": round(error, 6),
+        "profile_build_python_s": round(python_build_s, 5),
+        "profile_build_native_s": (None if native_build_s is None
+                                   else round(native_build_s, 5)),
+        "profile_build_speedup": (None if native_build_s is None
+                                  else round(python_build_s
+                                             / native_build_s, 1)),
+        "profile_engine": ",".join(sorted(profile_sources)),
         "repeats": repeat,
     }
 
@@ -1093,6 +1125,13 @@ def _cmd_bench(args) -> int:
         print(f"  analytical      : {model['analytical_warm_s']:.3f} s")
         print(f"  speedup         : {model['speedup']:.2f}x")
         print(f"  max miss error  : {model['max_abs_miss_ratio_error']}")
+        print(f"  profile build   : python "
+              f"{model['profile_build_python_s']:.4f} s")
+        if model["profile_build_native_s"] is not None:
+            print(f"                    native "
+                  f"{model['profile_build_native_s']:.4f} s "
+                  f"({model['profile_build_speedup']:.1f}x)")
+        print(f"  session built on: {model['profile_engine']}")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

@@ -548,9 +548,14 @@ class SweepSession:
                             point_cache_key(spec.benchmark, spec.profile,
                                             config0, False),
                             stats0)
-                row_profile = build_row_profile(streams, config0, tracked)
+                row_profile = build_row_profile(streams, config0, tracked,
+                                                backend=spec.backend)
                 if profile_cache is not None:
                     profile_cache.put(profile_key, row_profile)
+                profile_source = row_profile.engine
+            else:
+                profile_source = "cached"
+            self.registry.count(f"session.profiles.{profile_source}")
             for point in row_points:
                 stats = predict_point(row_profile, self._configs[point],
                                       benchmark=spec.benchmark,

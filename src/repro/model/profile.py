@@ -30,7 +30,11 @@ The profile has four parts:
   cycle estimate.
 
 Profiles are cached on disk (:class:`ProfileCache`) keyed by the tape
-they came from, so a warm sweep never touches the tape again.
+they came from, so a warm sweep never touches the tape again.  Cold
+builds run the per-reference work in the native extension when the
+replay-engine knob resolves to ``native`` (see
+:func:`build_row_profile`); the python code here is the reference it
+matches byte for byte.
 """
 
 from __future__ import annotations
@@ -40,12 +44,14 @@ import heapq
 import json
 import logging
 import os
+from array import array
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import SystemConfig
 from ..core.icache import INSTRUCTION_BYTES
-from ..trace.analysis import _Fenwick
+from ..trace.analysis import _distances_from_lines
+from ..trace.engine import native, resolve_backend
 from ..trace.packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE,
                             OP_ENQUEUE, OP_IFETCH, OP_LOCK_ACQ,
                             OP_LOCK_REL, OP_READ, OP_READ_SPAN, OP_WRITE,
@@ -175,6 +181,8 @@ def extract_process(data, line_shift: int,
             base = data[index + 1]
             size = data[index + 2]
             stride = data[index + 3]
+            if size > 0 and stride <= 0:
+                raise ValueError(f"non-positive span stride at {index}")
             is_write = 1 if op == OP_WRITE_SPAN else 0
             for offset in range(0, size, stride):
                 append((is_write, (base + offset) >> line_shift))
@@ -305,10 +313,16 @@ def coherence_ladder(refs: Sequence[Tuple[int, int, int]],
 
 
 class RowProfile:
-    """The analytical summary of one grid row's tape."""
+    """The analytical summary of one grid row's tape.
 
-    def __init__(self, payload: dict):
+    ``engine`` says which builder produced it (``"native"`` or
+    ``"python"``; ``None`` for a profile read back from JSON).  It is
+    not part of the payload: both builders produce the same one.
+    """
+
+    def __init__(self, payload: dict, engine: Optional[str] = None):
         self.payload = payload
+        self.engine = engine
 
     # Convenience views ------------------------------------------------
 
@@ -373,7 +387,8 @@ class RowProfile:
 
 def build_row_profile(streams: Dict[int, Sequence], config:
                       SystemConfig,
-                      tracked_line_counts: Sequence[int]) -> RowProfile:
+                      tracked_line_counts: Sequence[int], *,
+                      backend: Optional[str] = None) -> RowProfile:
     """Reduce one recorded row tape to its :class:`RowProfile`.
 
     ``streams`` maps processor ids to packed streams recorded on
@@ -381,16 +396,57 @@ def build_row_profile(streams: Dict[int, Sequence], config:
     geometry prices the instruction caches; its line size and cluster
     layout shape everything else).  ``tracked_line_counts`` are the
     SCC line counts the exact ladder covers, ascending powers of two.
+
+    ``backend`` is the replay-engine knob
+    (:func:`repro.trace.engine.resolve_backend`).  When it resolves to
+    ``native`` the per-reference work runs in the C extension's
+    ``profile_row`` kernels; otherwise the python reference below runs.
+    Both give the same payload, byte for byte under
+    ``json.dumps(..., sort_keys=True)``, and raise the same exception
+    types on malformed tapes; the profile's ``engine`` says which ran.
     """
+    tracked = tuple(sorted(set(int(count)
+                               for count in tracked_line_counts)))
+    procs = sorted(streams)
+    if resolve_backend(backend) == "native":
+        engine = "native"
+        parts = _native_parts(native.load(), procs, streams, config,
+                              tracked)
+    else:
+        engine = "python"
+        parts = _python_parts(procs, streams, config, tracked)
+    (per_process, process_histograms, cluster_histograms, ladder,
+     sharing) = parts
+    payload = {
+        "model_version": MODEL_VERSION,
+        "line_size": config.line_size,
+        "clusters": config.clusters,
+        "procs_per_cluster": config.processors_per_cluster,
+        "tracked_line_counts": list(tracked),
+        "reads": sum(summary["reads"] for summary in per_process.values()),
+        "writes": sum(summary["writes"]
+                      for summary in per_process.values()),
+        "per_process": {str(proc): summary
+                        for proc, summary in per_process.items()},
+        "process_histograms": process_histograms,
+        "cluster_histograms": cluster_histograms,
+        "ladder": ladder,
+        "sharing": sharing,
+    }
+    return RowProfile(payload, engine=engine)
+
+
+def _python_parts(procs: List[int], streams: Dict[int, Sequence],
+                  config: SystemConfig, tracked: Tuple[int, ...]):
+    """The reference builder: ``(per_process, process_histograms,
+    cluster_histograms, ladder, sharing)`` in payload form."""
     line_shift = config.line_offset_bits
     procs_per_cluster = config.processors_per_cluster
     clusters = config.clusters
-    tracked = tuple(sorted(set(int(count)
-                               for count in tracked_line_counts)))
 
     per_process: Dict[int, dict] = {}
     proc_refs: Dict[int, List[Tuple[int, int]]] = {}
-    for proc in sorted(streams):
+    for proc in procs:
         refs, summary = extract_process(streams[proc], line_shift,
                                         icache_config=config)
         proc_refs[proc] = refs
@@ -405,7 +461,7 @@ def build_row_profile(streams: Dict[int, Sequence], config:
     cluster_refs: Dict[int, List[Tuple[int, int, int]]] = {}
     cluster_histograms = {}
     for cluster in range(clusters):
-        members = [proc for proc in sorted(proc_refs)
+        members = [proc for proc in procs
                    if proc // procs_per_cluster == cluster]
         tagged = [[(proc, is_write, line)
                    for is_write, line in proc_refs[proc]]
@@ -429,44 +485,79 @@ def build_row_profile(streams: Dict[int, Sequence], config:
 
     sharing = _sharing_summary(merged_global, clusters,
                                procs_per_cluster)
-
-    payload = {
-        "model_version": MODEL_VERSION,
-        "line_size": config.line_size,
-        "clusters": clusters,
-        "procs_per_cluster": procs_per_cluster,
-        "tracked_line_counts": list(tracked),
-        "reads": sum(summary["reads"] for summary in per_process.values()),
-        "writes": sum(summary["writes"]
-                      for summary in per_process.values()),
-        "per_process": {str(proc): summary
-                        for proc, summary in per_process.items()},
-        "process_histograms": process_histograms,
-        "cluster_histograms": cluster_histograms,
-        "ladder": ladder,
-        "sharing": sharing,
-    }
-    return RowProfile(payload)
+    return (per_process, process_histograms, cluster_histograms, ladder,
+            sharing)
 
 
 def _histogram_of(refs: Sequence[Tuple[int, int]]) -> _BucketedHistogram:
     """Fully-associative stack-distance histogram of a reference
     sequence, read/write split (Bennett-Kruskal over the line stream)."""
     histogram = _BucketedHistogram()
-    tree = _Fenwick(len(refs))
-    last_position: Dict[int, int] = {}
-    for position, (is_write, line) in enumerate(refs):
-        previous = last_position.get(line)
-        if previous is None:
-            histogram.add(None, is_write)
-        else:
-            marks_before = tree.prefix_sum(previous + 1)
-            marks_total = tree.prefix_sum(position)
-            histogram.add(marks_total - marks_before, is_write)
-            tree.add(previous, -1)
-        tree.add(position, +1)
-        last_position[line] = position
+    distances = _distances_from_lines([line for _, line in refs])
+    for (is_write, _), distance in zip(refs, distances):
+        histogram.add(distance, is_write)
     return histogram
+
+
+_SUMMARY_KEYS = ("reads", "writes", "instructions", "compute_cycles",
+                 "lock_ops", "barriers", "events", "icache_misses")
+"""The per-process summary's fields, in the order ``profile_row``
+returns them."""
+
+
+def _int64(data) -> array:
+    if type(data) is array and data.typecode == "q":
+        return data
+    return array("q", data)
+
+
+def _native_parts(extension, procs: List[int],
+                  streams: Dict[int, Sequence], config: SystemConfig,
+                  tracked: Tuple[int, ...]):
+    """:func:`_python_parts` computed by the extension's kernels."""
+    procs_per_cluster = config.processors_per_cluster
+    icache_lines = (config.icache_size // config.icache_line_size
+                    if config.model_icache else 0)
+    plan = (tuple(_int64(streams[proc]) for proc in procs),
+            array("q", [proc // procs_per_cluster for proc in procs]),
+            array("q", [config.line_offset_bits, config.clusters,
+                        icache_lines, config.icache_line_size]),
+            array("q", tracked))
+    (summaries, proc_histograms, cluster_histograms, rungs,
+     sharing) = extension.profile_row(plan)
+
+    def histogram(counts) -> dict:
+        cold_reads, cold_writes, buckets = counts
+        return {"cold_reads": cold_reads, "cold_writes": cold_writes,
+                "buckets": buckets}
+
+    def by_proc(counts) -> dict:
+        return {str(proc): count for proc, count in zip(procs, counts)
+                if count}
+
+    per_process = {proc: dict(zip(_SUMMARY_KEYS, summary))
+                   for proc, summary in zip(procs, summaries)}
+    ladder = [{"read_misses": read_misses, "write_misses": write_misses,
+               "invalidations": invalidations,
+               "proc_read_misses": by_proc(proc_reads),
+               "proc_write_misses": by_proc(proc_writes)}
+              for (read_misses, write_misses, invalidations, proc_reads,
+                   proc_writes) in rungs]
+    shared_lines, set_sizes, reuses, exposure = sharing
+    return (
+        per_process,
+        {str(proc): histogram(counts)
+         for proc, counts in zip(procs, proc_histograms)},
+        {str(cluster): histogram(counts)
+         for cluster, counts in enumerate(cluster_histograms)},
+        ladder,
+        {"shared_lines": shared_lines,
+         "writer_sets": {str(size): count
+                         for size, count in enumerate(set_sizes) if count},
+         "interprocess_reuses": reuses,
+         "exposure": {str(cluster): value
+                      for cluster, value in enumerate(exposure)}},
+    )
 
 
 def _sharing_summary(refs: Sequence[Tuple[int, int, int]],

@@ -99,6 +99,8 @@ def _packed_data_lines(data, shift: int, out: List[int]) -> None:
             base = data[index + 1]
             size = data[index + 2]
             stride = data[index + 3]
+            if size > 0 and stride <= 0:
+                raise ValueError(f"non-positive span stride at {index}")
             for offset in range(0, size, stride):
                 append((base + offset) >> shift)
             index += 4

@@ -42,7 +42,7 @@
 #include <structmember.h>
 
 /* Exported as ``ABI_VERSION``; engine/native.py refuses any other. */
-#define NATIVE_ABI "3"
+#define NATIVE_ABI "4"
 
 #define OP_READ 1
 #define OP_WRITE 2
@@ -1385,6 +1385,18 @@ run:
             long long base = data[i + 1];
             long long size = data[i + 2];
             long long stride = data[i + 3];
+            if (size > 0 && stride <= 0) {
+                /* The element loop would never end; fail like an
+                 * unknown opcode (and like _run_fast). */
+                if (time > limit)
+                    goto limit_exceeded;
+                misc[0]++;
+                if (pf_set_ll(ctx, proc, F_TIME, time) < 0)
+                    goto fail;
+                PyErr_Format(PyExc_ValueError,
+                             "non-positive span stride at %lld", i);
+                goto fail;
+            }
             long long offset = sub;
             sub = 0;
             int preempted = 0;
@@ -2408,6 +2420,963 @@ fail:
     return NULL;
 }
 
+/* ==================================================================== */
+/* Row-profile kernels (repro.model.profile)                            */
+/* ==================================================================== */
+
+/* The per-reference work of ``build_row_profile``, transcribed from the
+ * python reference in src/repro/model/profile.py:
+ *
+ *   p_extract    ``extract_process``: one walk over a packed stream,
+ *                spans expanded, the row-constant icache model inline;
+ *   p_merge      ``merge_refs``: normalized-position merge, ordered by
+ *                ``(taken / length as double, input index)``;
+ *   p_histogram  ``_histogram_of``: Bennett-Kruskal stack distances over
+ *                a Fenwick tree, bucketed like ``bucket_floor``;
+ *   p_ladder     ``coherence_ladder``: inclusion-chained direct-mapped
+ *                tag ladder with cross-cluster write-invalidates;
+ *   p_sharing    ``_sharing_summary``: writer sets, inter-process reuse
+ *                and per-cluster exposure.
+ *
+ * A reference is one int64 code, ``(line_id << (pbits + 1)) | (proc
+ * index << 1) | is_write``, where ``line_id`` numbers distinct lines in
+ * order of extraction; no python object is made per reference.  The
+ * wrapper (``profile._native_parts``) turns the few counters returned
+ * here into the profile payload, which must serialize byte-identically
+ * to the python builder's: errors are raised with the python code's
+ * exception types at the same opcode, merge keys are the same doubles,
+ * exposure terms are the same correctly rounded quotients added in the
+ * same order (first touch of each line in the merged stream).
+ */
+
+/* One bucket per distance below 128, then 8 per octave up to 2^62. */
+#define P_EXACT 128
+#define P_NBUCKETS (P_EXACT + 8 * 56)
+
+typedef struct {
+    long long *v;
+    Py_ssize_t n, cap;
+} PVec;
+
+static int
+pvec_grow(PVec *a)
+{
+    Py_ssize_t cap = a->cap ? 2 * a->cap : 1024;
+    long long *v = PyMem_Realloc(a->v, (size_t)cap * sizeof(long long));
+    if (!v) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    a->v = v;
+    a->cap = cap;
+    return 0;
+}
+
+static inline int
+pvec_push(PVec *a, long long x)
+{
+    if (a->n == a->cap && pvec_grow(a) < 0)
+        return -1;
+    a->v[a->n++] = x;
+    return 0;
+}
+
+/* Line -> dense id, ids in first-insertion order (open addressing). */
+typedef struct {
+    long long *keys, *ids;
+    size_t mask;
+    int shift;
+    PVec lines;     /* id -> line */
+} PLineIds;
+
+static inline size_t
+p_slot(const PLineIds *m, long long line)
+{
+    return (size_t)(((unsigned long long)line * 0x9E3779B97F4A7C15ULL)
+                    >> m->shift) & m->mask;
+}
+
+static int
+p_ids_resize(PLineIds *m, int bits)
+{
+    size_t cap = (size_t)1 << bits;
+    long long *keys = PyMem_Malloc(cap * sizeof(long long));
+    long long *ids = PyMem_Malloc(cap * sizeof(long long));
+    if (!keys || !ids) {
+        PyMem_Free(keys);
+        PyMem_Free(ids);
+        PyErr_NoMemory();
+        return -1;
+    }
+    memset(ids, 0xff, cap * sizeof(long long));
+    PyMem_Free(m->keys);
+    PyMem_Free(m->ids);
+    m->keys = keys;
+    m->ids = ids;
+    m->mask = cap - 1;
+    m->shift = 64 - bits;
+    for (Py_ssize_t id = 0; id < m->lines.n; id++) {
+        size_t s = p_slot(m, m->lines.v[id]);
+        while (ids[s] >= 0)
+            s = (s + 1) & m->mask;
+        keys[s] = m->lines.v[id];
+        ids[s] = id;
+    }
+    return 0;
+}
+
+static inline long long
+p_line_id(PLineIds *m, long long line)
+{
+    size_t s = p_slot(m, line);
+    for (;;) {
+        long long id = m->ids[s];
+        if (id < 0)
+            break;
+        if (m->keys[s] == line)
+            return id;
+        s = (s + 1) & m->mask;
+    }
+    long long id = m->lines.n;
+    if (pvec_push(&m->lines, line) < 0)
+        return -1;
+    if ((size_t)m->lines.n * 2 > m->mask + 1) {
+        if (p_ids_resize(m, 64 - m->shift + 1) < 0)
+            return -1;
+    }
+    else {
+        m->keys[s] = line;
+        m->ids[s] = id;
+    }
+    return id;
+}
+
+/* Python's ``a // b`` (floor division), b != 0. */
+static inline __int128
+p_floordiv(__int128 a, __int128 b)
+{
+    __int128 q = a / b;
+    if (q * b != a && ((a < 0) != (b < 0)))
+        q--;
+    return q;
+}
+
+enum {
+    PS_READS, PS_WRITES, PS_INSTRUCTIONS, PS_COMPUTE, PS_LOCKS,
+    PS_BARRIERS, PS_EVENTS, PS_ICACHE, PS_COUNT
+};
+
+typedef struct {
+    int code_shift;             /* pbits + 1 */
+    long long line_shift;
+    long long ilines;           /* 0: icache unmodelled */
+    long long iline_size;
+    int iline_shift;            /* log2(iline_size), or -1 */
+    long long *itags;
+    PLineIds ids;
+} PRowCtx;
+
+static int
+p_ref(PRowCtx *r, PVec *out, long long tag, long long addr)
+{
+    long long id = p_line_id(&r->ids, addr >> r->line_shift);
+    if (id < 0)
+        return -1;
+    if (id >> (62 - r->code_shift)) {
+        PyErr_SetString(PyExc_OverflowError, "too many distinct lines");
+        return -1;
+    }
+    return pvec_push(out, (id << r->code_shift) | tag);
+}
+
+static int
+p_truncated(void)
+{
+    PyErr_SetString(PyExc_IndexError, "array index out of range");
+    return -1;
+}
+
+/* extract_process over one packed stream; ``tag`` is the reference
+ * code's low bits for this process (its index, shifted, write bit 0). */
+static int
+p_extract(PRowCtx *r, const long long *data, Py_ssize_t end,
+          long long tag, PVec *out, long long *sum)
+{
+    long long *itags = r->itags;
+    if (itags) {
+        for (long long k = 0; k < r->ilines; k++)
+            itags[k] = -1;
+    }
+    long long imask = r->ilines - 1;
+    Py_ssize_t i = 0;
+    while (i < end) {
+        long long op = data[i];
+        if (op == OP_READ || op == OP_WRITE) {
+            if (i + 1 >= end)
+                return p_truncated();
+            if (p_ref(r, out, tag | (op == OP_WRITE), data[i + 1]) < 0)
+                return -1;
+            sum[op == OP_WRITE ? PS_WRITES : PS_READS]++;
+            sum[PS_EVENTS]++;
+            i += 2;
+        }
+        else if (op == OP_IFETCH) {
+            if (i + 2 >= end)
+                return p_truncated();
+            long long count = data[i + 2];
+            sum[PS_INSTRUCTIONS] += count;
+            sum[PS_EVENTS]++;
+            if (itags) {
+                long long addr = data[i + 1], first, last;
+                __int128 end_byte = (__int128)addr + (__int128)count * 4 - 1;
+                if (r->iline_shift >= 0 && end_byte <= LLONG_MAX
+                    && end_byte >= LLONG_MIN) {
+                    first = addr >> r->iline_shift;
+                    last = (long long)end_byte >> r->iline_shift;
+                }
+                else {
+                    first = (long long)p_floordiv(addr, r->iline_size);
+                    last = (long long)p_floordiv(end_byte, r->iline_size);
+                }
+                for (long long line = first; line <= last; line++) {
+                    long long *slot = &itags[line & imask];
+                    if (*slot != line) {
+                        *slot = line;
+                        sum[PS_ICACHE]++;
+                    }
+                }
+            }
+            i += 3;
+        }
+        else if (op == OP_COMPUTE) {
+            if (i + 1 >= end)
+                return p_truncated();
+            sum[PS_COMPUTE] += data[i + 1];
+            sum[PS_EVENTS]++;
+            i += 2;
+        }
+        else if (op == OP_READ_SPAN || op == OP_WRITE_SPAN) {
+            if (i + 3 >= end)
+                return p_truncated();
+            long long base = data[i + 1];
+            long long size = data[i + 2];
+            long long stride = data[i + 3];
+            if (size > 0 && stride <= 0) {
+                PyErr_Format(PyExc_ValueError,
+                             "non-positive span stride at %zd", i);
+                return -1;
+            }
+            if (stride == 0) {
+                PyErr_SetString(PyExc_ValueError,
+                                "range() arg 3 must not be zero");
+                return -1;
+            }
+            /* len(range(0, size, stride)) */
+            __int128 n = 0;
+            if (stride > 0 && size > 0)
+                n = ((__int128)size - 1) / stride + 1;
+            else if (stride < 0 && size < 0)
+                n = (-(__int128)size - 1) / -(__int128)stride + 1;
+            long long w = tag | (op == OP_WRITE_SPAN);
+            for (__int128 k = 0; k < n; k++) {
+                __int128 addr = (__int128)base + k * stride;
+                if (addr > LLONG_MAX || addr < LLONG_MIN) {
+                    PyErr_Format(PyExc_OverflowError,
+                                 "span address overflows int64 at %zd", i);
+                    return -1;
+                }
+                if (p_ref(r, out, w, (long long)addr) < 0)
+                    return -1;
+            }
+            sum[op == OP_WRITE_SPAN ? PS_WRITES : PS_READS] += (long long)n;
+            sum[PS_EVENTS] += (long long)p_floordiv(
+                (__int128)size + stride - 1, stride);
+            i += 4;
+        }
+        else if (op == OP_LOCK_ACQ || op == OP_LOCK_REL) {
+            sum[PS_LOCKS]++;
+            sum[PS_EVENTS]++;
+            i += 2;
+        }
+        else if (op == OP_BARRIER) {
+            sum[PS_BARRIERS]++;
+            sum[PS_EVENTS]++;
+            i += 3;
+        }
+        else if (op == OP_ENQUEUE) {
+            sum[PS_EVENTS]++;
+            i += 3;
+        }
+        else if (op == OP_DEQUEUE) {
+            sum[PS_EVENTS]++;
+            i += 2;
+        }
+        else {
+            PyErr_Format(PyExc_ValueError,
+                         "unknown packed opcode %lld at word %zd", op, i);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* merge_refs: each step takes the next code of the input least far
+ * through its own stream, ties to the lower input index -- the order of
+ * python's heap of ``(taken / length, index)`` tuples. */
+static int
+p_merge(PVec *const *in, int k, PVec *out)
+{
+    int live = 0;
+    PVec *single = NULL;
+    Py_ssize_t total = 0;
+    for (int s = 0; s < k; s++) {
+        if (in[s]->n) {
+            live++;
+            single = in[s];
+            total += in[s]->n;
+        }
+    }
+    out->n = 0;
+    if (total == 0)
+        return 0;
+    out->v = PyMem_Malloc((size_t)total * sizeof(long long));
+    if (!out->v) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    out->cap = total;
+    if (live == 1) {
+        memcpy(out->v, single->v, (size_t)total * sizeof(long long));
+        out->n = total;
+        return 0;
+    }
+    int *heap = PyMem_Malloc((size_t)live * sizeof(int));
+    PVec **seq = PyMem_Malloc((size_t)live * sizeof(PVec *));
+    Py_ssize_t *pos = PyMem_Calloc((size_t)live, sizeof(Py_ssize_t));
+    double *key = PyMem_Calloc((size_t)live, sizeof(double));
+    if (!heap || !seq || !pos || !key) {
+        PyMem_Free(heap);
+        PyMem_Free(seq);
+        PyMem_Free(pos);
+        PyMem_Free(key);
+        PyErr_NoMemory();
+        return -1;
+    }
+    int m = 0;
+    for (int s = 0; s < k; s++) {
+        if (in[s]->n) {
+            seq[m] = in[s];
+            heap[m] = m;    /* all keys 0.0: index order is a heap */
+            m++;
+        }
+    }
+#define P_LESS(a, b) (key[a] < key[b] || (key[a] == key[b] && (a) < (b)))
+    long long *dst = out->v;
+    while (m) {
+        int top = heap[0];
+        PVec *from = seq[top];
+        dst[out->n++] = from->v[pos[top]++];
+        if (pos[top] < from->n)
+            key[top] = (double)pos[top] / (double)from->n;
+        else
+            heap[0] = heap[--m];
+        /* sift the root down */
+        int hole = 0, item = heap[0];
+        for (;;) {
+            int child = 2 * hole + 1;
+            if (child >= m)
+                break;
+            if (child + 1 < m && P_LESS(heap[child + 1], heap[child]))
+                child++;
+            if (!P_LESS(heap[child], item))
+                break;
+            heap[hole] = heap[child];
+            hole = child;
+        }
+        if (m)
+            heap[hole] = item;
+    }
+#undef P_LESS
+    PyMem_Free(heap);
+    PyMem_Free(seq);
+    PyMem_Free(pos);
+    PyMem_Free(key);
+    return 0;
+}
+
+static inline int
+p_bucket(long long d)
+{
+    if (d < P_EXACT)
+        return (int)d;
+    int octave = 63 - __builtin_clzll((unsigned long long)d);
+    long long sub = (d - (1LL << octave)) >> (octave - 3);
+    return P_EXACT + (octave - 7) * 8 + (int)sub;
+}
+
+static long long
+p_bucket_floor(int b)
+{
+    if (b < P_EXACT)
+        return b;
+    int octave = 7 + (b - P_EXACT) / 8;
+    long long sub = (b - P_EXACT) % 8;
+    return (1LL << octave) + (sub << (octave - 3));
+}
+
+/* Bennett-Kruskal over ``codes``: ``last`` (one slot per line id) and
+ * ``tree`` (n + 1 slots) are scratch; ``hist`` is P_NBUCKETS read/write
+ * pairs plus the cold pair at the end, all zeroed here. */
+static void
+p_histogram(const PVec *codes, int code_shift, Py_ssize_t nlines,
+            long long *last, long long *tree, long long *hist)
+{
+    Py_ssize_t n = codes->n;
+    memset(last, 0xff, (size_t)nlines * sizeof(long long));
+    memset(tree, 0, (size_t)(n + 1) * sizeof(long long));
+    memset(hist, 0, (size_t)(P_NBUCKETS + 1) * 2 * sizeof(long long));
+    for (Py_ssize_t position = 0; position < n; position++) {
+        long long code = codes->v[position];
+        long long id = code >> code_shift;
+        int w = (int)(code & 1);
+        long long previous = last[id];
+        if (previous < 0) {
+            hist[2 * P_NBUCKETS + w]++;
+        }
+        else {
+            /* distinct lines touched strictly after ``previous``:
+             * marks in (previous, position) */
+            long long marks = 0;
+            for (Py_ssize_t j = position; j > 0; j -= j & -j)
+                marks += tree[j];
+            for (Py_ssize_t j = previous + 1; j > 0; j -= j & -j)
+                marks -= tree[j];
+            hist[2 * p_bucket(marks) + w]++;
+            for (Py_ssize_t j = previous + 1; j <= n; j += j & -j)
+                tree[j]--;
+        }
+        for (Py_ssize_t j = position + 1; j <= n; j += j & -j)
+            tree[j]++;
+        last[id] = position;
+    }
+}
+
+/* ``(cold_reads, cold_writes, [[floor, reads, writes], ...])`` */
+static PyObject *
+p_histogram_object(const long long *hist)
+{
+    PyObject *buckets = PyList_New(0);
+    if (!buckets)
+        return NULL;
+    for (int b = 0; b < P_NBUCKETS; b++) {
+        if (!hist[2 * b] && !hist[2 * b + 1])
+            continue;
+        PyObject *entry = Py_BuildValue("[LLL]", p_bucket_floor(b),
+                                        hist[2 * b], hist[2 * b + 1]);
+        if (!entry || PyList_Append(buckets, entry) < 0) {
+            Py_XDECREF(entry);
+            Py_DECREF(buckets);
+            return NULL;
+        }
+        Py_DECREF(entry);
+    }
+    return Py_BuildValue("(LLN)", hist[2 * P_NBUCKETS],
+                         hist[2 * P_NBUCKETS + 1], buckets);
+}
+
+/* A tuple of ``n`` ints. */
+static PyObject *
+p_tuple_ll(const long long *v, Py_ssize_t n)
+{
+    PyObject *tuple = PyTuple_New(n);
+    for (Py_ssize_t k = 0; tuple && k < n; k++) {
+        PyObject *item = PyLong_FromLongLong(v[k]);
+        if (!item)
+            Py_CLEAR(tuple);
+        else
+            PyTuple_SET_ITEM(tuple, k, item);
+    }
+    return tuple;
+}
+
+/* coherence_ladder over the globally merged codes.  Returns a tuple per
+ * rung: (read_misses, write_misses, invalidations, per-process read
+ * misses, per-process write misses), the last two indexed by process
+ * index. */
+static PyObject *
+p_ladder(const PVec *codes, const PRowCtx *r, const long long *cluster_of,
+         long long clusters, Py_ssize_t nprocs, const long long *tracked,
+         Py_ssize_t rungs)
+{
+    for (Py_ssize_t k = 0; k < rungs; k++) {
+        long long count = tracked[k];
+        if (count < 1 || (count & (count - 1))) {
+            PyErr_SetString(PyExc_ValueError,
+                            "tracked line counts must be powers of two");
+            return NULL;
+        }
+    }
+    for (Py_ssize_t k = 1; k < rungs; k++) {
+        if (tracked[k] < tracked[k - 1]) {
+            PyErr_SetString(PyExc_ValueError,
+                            "tracked line counts must be ascending");
+            return NULL;
+        }
+    }
+    if (rungs == 0) {
+        PyErr_SetString(PyExc_IndexError, "list index out of range");
+        return NULL;
+    }
+    long long slots = 0;
+    for (Py_ssize_t k = 0; k < rungs; k++)
+        slots += tracked[k];
+    long long *offset = PyMem_Malloc((size_t)rungs * 2 * sizeof(long long));
+    int *shift = PyMem_Malloc((size_t)rungs * sizeof(int));
+    long long *tags = PyMem_Malloc(
+        (size_t)(clusters * slots) * sizeof(long long));
+    long long *counts = PyMem_Calloc(
+        (size_t)(rungs * (3 + 2 * nprocs)), sizeof(long long));
+    PyObject *result = NULL;
+    if (!offset || !shift || !tags || !counts) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    memset(tags, 0xff, (size_t)(clusters * slots) * sizeof(long long));
+    long long *mask = offset + rungs;
+    long long at = 0;
+    for (Py_ssize_t k = 0; k < rungs; k++) {
+        offset[k] = at;
+        mask[k] = tracked[k] - 1;
+        shift[k] = 63 - __builtin_clzll((unsigned long long)tracked[k]);
+        at += tracked[k];
+    }
+    /* per rung: read misses, write misses, invalidations, then read
+     * misses per process, then write misses per process */
+    long long stride = 3 + 2 * nprocs;
+    int code_shift = r->code_shift;
+    long long pmask = (1LL << (code_shift - 1)) - 1;
+    const long long *id_line = r->ids.lines.v;
+    for (Py_ssize_t p = 0; p < codes->n; p++) {
+        long long code = codes->v[p];
+        long long proc = (code >> 1) & pmask;
+        int w = (int)(code & 1);
+        long long line = id_line[code >> code_shift];
+        long long cluster = cluster_of[proc];
+        long long *own = tags + cluster * slots;
+        if (own[line & mask[0]] != line >> shift[0]) {
+            for (Py_ssize_t k = 0; k < rungs; k++) {
+                long long *slot = own + offset[k] + (line & mask[k]);
+                long long tag = line >> shift[k];
+                if (*slot == tag)
+                    break;
+                *slot = tag;
+                long long *entry = counts + k * stride;
+                entry[w]++;
+                entry[3 + w * nprocs + proc]++;
+            }
+        }
+        if (w && clusters > 1) {
+            for (long long other = 0; other < clusters; other++) {
+                if (other == cluster)
+                    continue;
+                long long *remote = tags + other * slots;
+                for (Py_ssize_t k = 0; k < rungs; k++) {
+                    long long *slot = remote + offset[k] + (line & mask[k]);
+                    if (*slot == line >> shift[k]) {
+                        *slot = -1;
+                        counts[k * stride + 2]++;
+                    }
+                }
+            }
+        }
+    }
+    result = PyTuple_New(rungs);
+    if (!result)
+        goto done;
+    for (Py_ssize_t k = 0; k < rungs; k++) {
+        long long *entry = counts + k * stride;
+        PyObject *reads = p_tuple_ll(entry + 3, nprocs);
+        PyObject *writes = p_tuple_ll(entry + 3 + nprocs, nprocs);
+        PyObject *item = NULL;
+        if (reads && writes)
+            item = Py_BuildValue("(LLLOO)", entry[0], entry[1], entry[2],
+                                 reads, writes);
+        Py_XDECREF(reads);
+        Py_XDECREF(writes);
+        if (!item) {
+            Py_CLEAR(result);
+            goto done;
+        }
+        PyTuple_SET_ITEM(result, k, item);
+    }
+done:
+    PyMem_Free(offset);
+    PyMem_Free(shift);
+    PyMem_Free(tags);
+    PyMem_Free(counts);
+    return result;
+}
+
+/* ``reads * remote_writes / (remote_writes + local)`` as python's
+ * correctly rounded int / int. */
+static int
+p_true_divide(long long num_a, long long num_b, long long den, double *out)
+{
+    __int128 num = (__int128)num_a * num_b;
+    const __int128 exact = (__int128)1 << 53;
+    if (num < exact && den < exact) {
+        *out = (double)(long long)num / (double)den;
+        return 0;
+    }
+    PyObject *a = PyLong_FromLongLong(num_a);
+    PyObject *b = PyLong_FromLongLong(num_b);
+    PyObject *d = PyLong_FromLongLong(den);
+    PyObject *n = a && b ? PyNumber_Multiply(a, b) : NULL;
+    PyObject *q = n && d ? PyNumber_TrueDivide(n, d) : NULL;
+    Py_XDECREF(a);
+    Py_XDECREF(b);
+    Py_XDECREF(d);
+    Py_XDECREF(n);
+    if (!q)
+        return -1;
+    *out = PyFloat_AsDouble(q);
+    Py_DECREF(q);
+    return 0;
+}
+
+/* One cluster's (reads, writes) of one line; a line's entries form a
+ * list through ``next``. */
+typedef struct {
+    long long cluster, next, counts[2];
+} PClusterCount;
+
+/* _sharing_summary over the globally merged codes.  Returns
+ * (shared_lines, writer-set sizes counted per size 0..nprocs,
+ * interprocess_reuses, exposure per cluster).  Each cluster's exposure
+ * gains at most one term per line, so only the order of lines decides
+ * the float sums: first touch in the merged stream (``order``), as in
+ * the python dict.  A line's own cluster list is newest first. */
+static PyObject *
+p_sharing(const PVec *codes, const PRowCtx *r, const long long *cluster_of,
+          long long clusters, Py_ssize_t nprocs)
+{
+    Py_ssize_t nlines = r->ids.lines.n;
+    int code_shift = r->code_shift;
+    long long pmask = (1LL << (code_shift - 1)) - 1;
+    Py_ssize_t words = (nprocs + 63) / 64;
+    unsigned long long *writers = PyMem_Calloc(
+        (size_t)(nlines * words) + 1, sizeof(unsigned long long));
+    long long *last = PyMem_Malloc((size_t)(nlines + 1) * sizeof(long long));
+    long long *head = NULL, *order = NULL;
+    PClusterCount *nodes = NULL;
+    long long *set_sizes = PyMem_Calloc((size_t)nprocs + 1,
+                                        sizeof(long long));
+    double *exposure = PyMem_Calloc((size_t)clusters + 1, sizeof(double));
+    PyObject *result = NULL;
+    Py_ssize_t nnodes = 0, nodes_cap = 0, norder = 0;
+    long long reuses = 0, shared = 0;
+    if (!writers || !last || !set_sizes || !exposure)
+        goto nomem;
+    memset(last, 0xff, (size_t)(nlines + 1) * sizeof(long long));
+    if (clusters > 1) {
+        head = PyMem_Malloc((size_t)(nlines + 1) * sizeof(long long));
+        order = PyMem_Malloc((size_t)(nlines + 1) * sizeof(long long));
+        if (!head || !order)
+            goto nomem;
+        memset(head, 0xff, (size_t)(nlines + 1) * sizeof(long long));
+    }
+    for (Py_ssize_t p = 0; p < codes->n; p++) {
+        long long code = codes->v[p];
+        long long id = code >> code_shift;
+        long long proc = (code >> 1) & pmask;
+        int w = (int)(code & 1);
+        if (w)
+            writers[id * words + proc / 64] |= 1ULL << (proc % 64);
+        if (last[id] >= 0 && last[id] != proc)
+            reuses++;
+        last[id] = proc;
+        if (clusters > 1) {
+            long long cluster = cluster_of[proc];
+            long long node = head[id];
+            if (node < 0)
+                order[norder++] = id;
+            while (node >= 0 && nodes[node].cluster != cluster)
+                node = nodes[node].next;
+            if (node < 0) {
+                if (nnodes == nodes_cap) {
+                    Py_ssize_t cap = nodes_cap ? 2 * nodes_cap : 1024;
+                    PClusterCount *grown = PyMem_Realloc(
+                        nodes, (size_t)cap * sizeof(PClusterCount));
+                    if (!grown)
+                        goto nomem;
+                    nodes = grown;
+                    nodes_cap = cap;
+                }
+                nodes[nnodes] = (PClusterCount){cluster, head[id], {0, 0}};
+                head[id] = node = nnodes++;
+            }
+            nodes[node].counts[w]++;
+        }
+    }
+    for (Py_ssize_t id = 0; id < nlines; id++) {
+        long long size = 0, any = 0;
+        for (Py_ssize_t k = 0; k < words; k++) {
+            any |= writers[id * words + k] != 0;
+            size += __builtin_popcountll(writers[id * words + k]);
+        }
+        if (any)
+            set_sizes[size]++;
+    }
+    for (Py_ssize_t k = 0; k < norder; k++) {
+        long long id = order[k];
+        long long first = head[id];
+        if (nodes[first].next < 0)
+            continue;
+        shared++;
+        long long total_writes = 0;
+        for (long long n = first; n >= 0; n = nodes[n].next)
+            total_writes += nodes[n].counts[1];
+        for (long long n = first; n >= 0; n = nodes[n].next) {
+            long long reads = nodes[n].counts[0];
+            long long writes = nodes[n].counts[1];
+            long long remote_writes = total_writes - writes;
+            if (remote_writes && reads) {
+                double term;
+                if (p_true_divide(reads, remote_writes,
+                                  remote_writes + reads + writes,
+                                  &term) < 0)
+                    goto done;
+                exposure[nodes[n].cluster] += term;
+            }
+        }
+    }
+    {
+        PyObject *sizes = p_tuple_ll(set_sizes, nprocs + 1);
+        PyObject *expo = PyTuple_New(clusters);
+        for (long long c = 0; expo && c < clusters; c++) {
+            PyObject *v = PyFloat_FromDouble(exposure[c]);
+            if (!v)
+                Py_CLEAR(expo);
+            else
+                PyTuple_SET_ITEM(expo, c, v);
+        }
+        if (sizes && expo)
+            result = Py_BuildValue("(LOLO)", shared, sizes, reuses, expo);
+        Py_XDECREF(sizes);
+        Py_XDECREF(expo);
+    }
+    goto done;
+nomem:
+    PyErr_NoMemory();
+done:
+    PyMem_Free(writers);
+    PyMem_Free(last);
+    PyMem_Free(head);
+    PyMem_Free(order);
+    PyMem_Free(nodes);
+    PyMem_Free(set_sizes);
+    PyMem_Free(exposure);
+    return result;
+}
+
+/* plan = (streams, cluster_of, scal, tracked)
+ *   streams    -- tuple of int64 buffers, one per process, in ascending
+ *                 process-id order (the process index)
+ *   cluster_of -- array('q'): ``proc // procs_per_cluster`` per index
+ *   scal       -- array('q'): line_shift, clusters, icache lines (0 when
+ *                 the icache is unmodelled), icache line size
+ *   tracked    -- array('q'): the ladder's SCC line counts
+ * Returns (summaries, process histograms, cluster histograms, ladder,
+ * sharing); see p_histogram_object, p_ladder and p_sharing.  A summary
+ * is the 8-tuple of ``extract_process``'s counters in payload order.
+ */
+static PyObject *
+native_profile_row(PyObject *self, PyObject *plan)
+{
+    (void)self;
+    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != 4
+        || !PyTuple_Check(PyTuple_GET_ITEM(plan, 0))) {
+        PyErr_SetString(PyExc_TypeError,
+                        "profile plan must be (streams, cluster_of, "
+                        "scal, tracked)");
+        return NULL;
+    }
+    PyObject *streams = PyTuple_GET_ITEM(plan, 0);
+    Py_ssize_t nprocs = PyTuple_GET_SIZE(streams);
+    PyObject *result = NULL;
+    Py_buffer views[3];
+    int nviews = 0;
+    for (int k = 0; k < 3; k++) {
+        if (PyObject_GetBuffer(PyTuple_GET_ITEM(plan, k + 1), &views[k],
+                               PyBUF_SIMPLE) < 0)
+            goto release;
+        nviews++;
+    }
+    const long long *cluster_of = views[0].buf;
+    const long long *scal = views[1].buf;
+    const long long *tracked = views[2].buf;
+    Py_ssize_t rungs = views[2].len / (Py_ssize_t)sizeof(long long);
+    if (views[0].len != nprocs * (Py_ssize_t)sizeof(long long)
+        || views[1].len != 4 * (Py_ssize_t)sizeof(long long)) {
+        PyErr_SetString(PyExc_ValueError, "malformed profile plan");
+        goto release;
+    }
+    long long clusters = scal[1];
+
+    PRowCtx r;
+    memset(&r, 0, sizeof(r));
+    int pbits = 0;
+    while (((Py_ssize_t)1 << pbits) < nprocs)
+        pbits++;
+    r.code_shift = pbits + 1;
+    r.line_shift = scal[0];
+    r.ilines = scal[2];
+    r.iline_size = scal[3];
+    r.iline_shift = -1;
+    if (r.iline_size > 0 && !(r.iline_size & (r.iline_size - 1)))
+        r.iline_shift = 63 - __builtin_clzll((unsigned long long)r.iline_size);
+    PyObject *summaries = NULL, *proc_hists = NULL;
+    PyObject *cluster_hists = NULL, *ladder = NULL, *sharing = NULL;
+    PVec *refs = PyMem_Calloc((size_t)nprocs + 1, sizeof(PVec));
+    PVec *merged = PyMem_Calloc((size_t)clusters + 1, sizeof(PVec));
+    PVec **inputs = PyMem_Calloc((size_t)(nprocs + clusters) + 1,
+                                 sizeof(PVec *));
+    PVec global = {NULL, 0, 0};
+    long long *sum = PyMem_Calloc((size_t)nprocs * PS_COUNT + 1,
+                                  sizeof(long long));
+    long long *last = NULL, *tree = NULL, *hist = NULL;
+    if (!refs || !merged || !inputs || !sum)
+        goto nomem;
+    if (r.ilines > 0) {
+        r.itags = PyMem_Malloc((size_t)r.ilines * sizeof(long long));
+        if (!r.itags)
+            goto nomem;
+    }
+    if (p_ids_resize(&r.ids, 12) < 0)
+        goto done;
+
+    /* extract_process, per process */
+    for (Py_ssize_t q = 0; q < nprocs; q++) {
+        Py_buffer view;
+        if (PyObject_GetBuffer(PyTuple_GET_ITEM(streams, q), &view,
+                               PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
+            goto done;
+        int rc;
+        if (view.itemsize != 8 || !view.format
+            || (strcmp(view.format, "q") && strcmp(view.format, "l"))) {
+            PyErr_SetString(PyExc_TypeError,
+                            "packed streams must be int64 buffers");
+            rc = -1;
+        }
+        else
+            rc = p_extract(&r, view.buf, view.len / 8, (long long)q << 1,
+                           &refs[q], sum + q * PS_COUNT);
+        PyBuffer_Release(&view);
+        if (rc < 0)
+            goto done;
+    }
+    if (!(summaries = PyTuple_New(nprocs)))
+        goto done;
+    for (Py_ssize_t q = 0; q < nprocs; q++) {
+        long long *s = sum + q * PS_COUNT;
+        PyObject *item = Py_BuildValue("(LLLLLLLL)", s[0], s[1], s[2],
+                                       s[3], s[4], s[5], s[6], s[7]);
+        if (!item)
+            goto done;
+        PyTuple_SET_ITEM(summaries, q, item);
+    }
+
+    /* histograms of each process's own stream */
+    Py_ssize_t nlines = r.ids.lines.n, total = 0;
+    for (Py_ssize_t q = 0; q < nprocs; q++)
+        total += refs[q].n;
+    last = PyMem_Malloc((size_t)nlines * sizeof(long long) + 1);
+    tree = PyMem_Malloc((size_t)(total + 1) * sizeof(long long));
+    hist = PyMem_Malloc((size_t)(P_NBUCKETS + 1) * 2 * sizeof(long long));
+    if (!last || !tree || !hist)
+        goto nomem;
+    if (!(proc_hists = PyTuple_New(nprocs)))
+        goto done;
+    for (Py_ssize_t q = 0; q < nprocs; q++) {
+        p_histogram(&refs[q], r.code_shift, nlines, last, tree, hist);
+        PyObject *item = p_histogram_object(hist);
+        if (!item)
+            goto done;
+        PyTuple_SET_ITEM(proc_hists, q, item);
+    }
+
+    /* per-cluster merges (what each shared cache sees) */
+    if (!(cluster_hists = PyTuple_New(clusters)))
+        goto done;
+    for (long long c = 0; c < clusters; c++) {
+        int members = 0;
+        for (Py_ssize_t q = 0; q < nprocs; q++) {
+            if (cluster_of[q] == c)
+                inputs[members++] = &refs[q];
+        }
+        if (p_merge(inputs, members, &merged[c]) < 0)
+            goto done;
+        p_histogram(&merged[c], r.code_shift, nlines, last, tree, hist);
+        PyObject *item = p_histogram_object(hist);
+        if (!item)
+            goto done;
+        PyTuple_SET_ITEM(cluster_hists, c, item);
+    }
+    for (Py_ssize_t q = 0; q < nprocs; q++) {
+        PyMem_Free(refs[q].v);
+        refs[q].v = NULL;
+    }
+    for (long long c = 0; c < clusters; c++)
+        inputs[c] = &merged[c];
+    if (p_merge(inputs, (int)clusters, &global) < 0)
+        goto done;
+    for (long long c = 0; c < clusters; c++) {
+        PyMem_Free(merged[c].v);
+        merged[c].v = NULL;
+    }
+
+    if (!(ladder = p_ladder(&global, &r, cluster_of, clusters, nprocs,
+                            tracked, rungs)))
+        goto done;
+    if (!(sharing = p_sharing(&global, &r, cluster_of, clusters, nprocs)))
+        goto done;
+    result = PyTuple_Pack(5, summaries, proc_hists, cluster_hists, ladder,
+                          sharing);
+    goto done;
+nomem:
+    PyErr_NoMemory();
+done:
+    Py_XDECREF(summaries);
+    Py_XDECREF(proc_hists);
+    Py_XDECREF(cluster_hists);
+    Py_XDECREF(ladder);
+    Py_XDECREF(sharing);
+    if (refs) {
+        for (Py_ssize_t q = 0; q < nprocs; q++)
+            PyMem_Free(refs[q].v);
+    }
+    if (merged) {
+        for (long long c = 0; c < clusters; c++)
+            PyMem_Free(merged[c].v);
+    }
+    PyMem_Free(refs);
+    PyMem_Free(merged);
+    PyMem_Free(inputs);
+    PyMem_Free(global.v);
+    PyMem_Free(sum);
+    PyMem_Free(last);
+    PyMem_Free(tree);
+    PyMem_Free(hist);
+    PyMem_Free(r.itags);
+    PyMem_Free(r.ids.keys);
+    PyMem_Free(r.ids.ids);
+    PyMem_Free(r.ids.lines.v);
+release:
+    for (int k = 0; k < nviews; k++)
+        PyBuffer_Release(&views[k]);
+    return result;
+}
+
 /* --------------------------------------------------------------- module */
 
 static PyMethodDef methods[] = {
@@ -2424,6 +3393,9 @@ static PyMethodDef methods[] = {
      "Run the fused ladder over packed events; returns 0/2."},
     {"ladder_release", native_ladder_release, METH_O,
      "Release the buffer views held by a ladder context."},
+    {"profile_row", native_profile_row, METH_O,
+     "Reduce one row's packed streams to the analytical profile's "
+     "counters."},
     {NULL, NULL, 0, NULL},
 };
 

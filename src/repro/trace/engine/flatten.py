@@ -212,8 +212,8 @@ def _vector_columns(data):
 
     bad_unknown = widths == 0
     truncated = starts + np.maximum(widths, 1) > n
-    # The python loop would spin forever on a non-positive span stride;
-    # decode stops there like an undecodable tail (see numpy_backend).
+    # A non-positive span stride is an error on every tier; decode stops
+    # there like an undecodable tail (see numpy_backend).
     bad_stride = is_span & (o2 > 0) & (o3 <= 0)
     invalid = bad_unknown | truncated | bad_stride
     bad_pos: Optional[int] = None
@@ -283,8 +283,8 @@ def _scalar_columns(out: DecodedChunk, data):
             size = data[i + 2]
             stride = data[i + 3]
             if size > 0 and stride <= 0:
-                # The python loop would spin forever on this; treat it
-                # like an undecodable tail so the scalar path stops here.
+                # An error on every tier; treat it like an undecodable
+                # tail so the scalar path stops here.
                 out.bad_pos = i
                 break
             kop = OP_READ if op == OP_READ_SPAN else OP_WRITE

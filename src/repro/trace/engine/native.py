@@ -16,6 +16,10 @@ handlers, the end of the run and errors; instruction-cache refills call
 python-visible state equals what ``_run_fast`` would hold at that point
 (see ``_native.c``), so the handlers run unchanged.
 
+The same extension hosts the fused ladder's inner loop
+(:mod:`repro.trace.multiconfig`) and the analytical row-profile kernels
+(``profile_row``, used by :func:`repro.model.profile.build_row_profile`).
+
 Loading strategy (graceful at every step, ``LOAD_ERROR`` records why a
 step failed):
 
@@ -52,8 +56,9 @@ __all__ = ["NATIVE_VERSION", "LOAD_ERROR", "ladder_available", "load",
            "run"]
 
 #: Bump with ``NATIVE_ABI`` in ``_native.c`` whenever the C ABI (plan
-#: layout, drain contract) changes; :func:`load` refuses a mismatch.
-NATIVE_VERSION = "3"
+#: layouts, drain contract, entry points) changes; :func:`load` refuses
+#: a mismatch.
+NATIVE_VERSION = "4"
 
 LOAD_ERROR: Optional[str] = None
 

@@ -538,6 +538,17 @@ class TimingInterleaver:
                             base = data[i + 1]
                             size = data[i + 2]
                             stride = data[i + 3]
+                            if size > 0 and stride <= 0:
+                                # The element loop would never end; fail
+                                # like an unknown opcode.
+                                if time > limit:
+                                    raise RuntimeError(
+                                        f"simulation exceeded {max_cycles}"
+                                        f" cycles")
+                                ev += 1
+                                process.time = time
+                                raise ValueError(
+                                    f"non-positive span stride at {i}")
                             offset = sub
                             sub = 0
                             preempted = False
@@ -829,6 +840,8 @@ class TimingInterleaver:
                 base = data[i + 1]
                 size = data[i + 2]
                 stride = data[i + 3]
+                if size > 0 and stride <= 0:
+                    raise ValueError(f"non-positive span stride at {i}")
                 cls = Read if op == OP_READ_SPAN else Write
                 offset = sub
                 sub = 0

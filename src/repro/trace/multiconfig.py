@@ -1013,6 +1013,8 @@ def per_process_miss_surface(
                 span_base = data[i + 1]
                 size = data[i + 2]
                 stride = data[i + 3]
+                if size > 0 and stride <= 0:
+                    raise ValueError(f"non-positive span stride at {i}")
                 is_read = op == OP_READ_SPAN
                 for offset in range(0, size, stride):
                     line = (span_base + offset) >> line_shift

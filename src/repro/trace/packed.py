@@ -188,15 +188,13 @@ def decode_events(data: PackedData) -> Iterator[TraceEvent]:
         elif op == OP_COMPUTE:
             yield Compute(data[i + 1])
             i += 2
-        elif op == OP_READ_SPAN:
+        elif op == OP_READ_SPAN or op == OP_WRITE_SPAN:
             base, size, stride = data[i + 1], data[i + 2], data[i + 3]
+            if size > 0 and stride <= 0:
+                raise ValueError(f"non-positive span stride at {i}")
+            cls = Read if op == OP_READ_SPAN else Write
             for offset in range(0, size, stride):
-                yield Read(base + offset)
-            i += 4
-        elif op == OP_WRITE_SPAN:
-            base, size, stride = data[i + 1], data[i + 2], data[i + 3]
-            for offset in range(0, size, stride):
-                yield Write(base + offset)
+                yield cls(base + offset)
             i += 4
         elif op == OP_IFETCH:
             yield Ifetch(data[i + 1], data[i + 2])
@@ -229,6 +227,8 @@ def event_count(data: PackedData) -> int:
         op = data[i]
         if op == OP_READ_SPAN or op == OP_WRITE_SPAN:
             size, stride = data[i + 2], data[i + 3]
+            if size > 0 and stride <= 0:
+                raise ValueError(f"non-positive span stride at {i}")
             count += (size + stride - 1) // stride
             i += 4
         else:

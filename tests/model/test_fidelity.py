@@ -17,6 +17,7 @@ from repro.experiments.session import SweepSession, run_sweep
 from repro.experiments.spec import (FIDELITIES, ExperimentProfile,
                                     SweepSpec, point_cache_key)
 from repro.model.profile import MODEL_VERSION
+from repro.trace.engine import resolve_backend
 from repro.trace.record import TraceCache
 
 
@@ -181,6 +182,27 @@ class TestAnalyticalSession:
                 assert cached is not None    # real simulator output
             else:
                 assert cached is None
+
+    @pytest.mark.parametrize("backend", [None, "python"])
+    def test_profiles_are_counted_by_source(self, tmp_path, tiny_profile,
+                                            backend):
+        spec = _spec(tiny_profile, fidelity="analytical", backend=backend)
+        builder = ("native" if resolve_backend(backend) == "native"
+                   else "python")
+        trace_cache = TraceCache(tmp_path / "traces")
+        first = SweepSession(spec, cache=ResultCache(tmp_path / "r1"),
+                             trace_cache=trace_cache)
+        first.run()
+        assert first.registry.counter_group("session.profiles") == {
+            builder: len(spec.procs)}
+        # A second session finds every row profile in the profile cache.
+        second = SweepSession(spec, cache=ResultCache(tmp_path / "r2"),
+                              trace_cache=trace_cache)
+        second.run()
+        assert second.registry.counter_group("session.profiles") == {
+            "cached": len(spec.procs)}
+        # Point progress is a separate counter group.
+        assert set(second.counters) == {"total", "analytical"}
 
     def test_analytical_reruns_hit_result_cache(self, tmp_path,
                                                 tiny_profile):

@@ -1,19 +1,27 @@
 """Tests for the tape profiler (repro.model.profile)."""
 
+import json
 from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import PROFILES, SweepSpec, run_simulation
 from repro.core.config import SystemConfig
+from repro.experiments.session import SweepSession
+from repro.experiments.spec import ExperimentProfile
 from repro.model.profile import (MODEL_VERSION, ProfileCache, RowProfile,
                                  bucket_floor, build_row_profile,
                                  coherence_ladder, extract_process,
                                  merge_refs)
-from repro.trace.packed import (OP_BARRIER, OP_COMPUTE, OP_IFETCH,
-                                OP_LOCK_ACQ, OP_READ, OP_READ_SPAN,
+from repro.trace.engine import native, native_available
+from repro.trace.packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE,
+                                OP_ENQUEUE, OP_IFETCH, OP_LOCK_ACQ,
+                                OP_LOCK_REL, OP_READ, OP_READ_SPAN,
                                 OP_WRITE, OP_WRITE_SPAN, encode_events)
 from repro.trace.events import Read, Write
+from repro.trace.record import StreamRecorder, TraceCache
+from repro.verify.tapes import generate_contended_tape
 
 
 class TestBucketFloor:
@@ -210,3 +218,186 @@ class TestRowProfile:
             path.write_text("{not json")
         assert cache.get("row") is None         # discarded, not raised
         assert not list(tmp_path.glob("*.json"))
+
+
+# ----------------------------------------------------------------------
+# Native kernels against the python reference
+# ----------------------------------------------------------------------
+
+needs_native = pytest.mark.skipif(
+    not native_available(),
+    reason=f"native extension unavailable: {native.LOAD_ERROR}")
+
+
+def _outcome(streams, config, tracked, backend):
+    """The profile JSON a builder produces, or the type it raises."""
+    try:
+        profile = build_row_profile(streams, config, tracked,
+                                    backend=backend)
+    except Exception as exc:     # compared by type across builders
+        return type(exc)
+    assert profile.engine == backend
+    return json.dumps(profile.as_dict(), sort_keys=True)
+
+
+def assert_builders_agree(streams, config, tracked):
+    python = _outcome(streams, config, tracked, "python")
+    compiled = _outcome(streams, config, tracked, "native")
+    assert compiled == python
+    return python
+
+
+_ADDRESSES = st.integers(-64, 2047)
+_OPS = st.one_of(
+    st.tuples(st.sampled_from([OP_READ, OP_WRITE]), _ADDRESSES),
+    st.tuples(st.sampled_from([OP_READ_SPAN, OP_WRITE_SPAN]), _ADDRESSES,
+              st.integers(-48, 96), st.integers(1, 40)),
+    # A negative stride over a non-positive size still expands like
+    # range(0, size, stride) in the reference.
+    st.tuples(st.sampled_from([OP_READ_SPAN, OP_WRITE_SPAN]), _ADDRESSES,
+              st.integers(-48, 0), st.integers(-16, -1)),
+    st.tuples(st.just(OP_IFETCH), st.integers(-64, 4096),
+              st.integers(0, 40)),
+    st.tuples(st.just(OP_COMPUTE), st.integers(0, 50)),
+    st.tuples(st.sampled_from([OP_LOCK_ACQ, OP_LOCK_REL, OP_DEQUEUE]),
+              st.integers(0, 3)),
+    st.tuples(st.sampled_from([OP_BARRIER, OP_ENQUEUE]),
+              st.integers(0, 3), st.integers(0, 3)),
+)
+
+
+@st.composite
+def row_tapes(draw):
+    clusters = draw(st.integers(1, 4))
+    procs_per_cluster = draw(st.integers(1, 4))
+    icache = draw(st.booleans())
+    config = SystemConfig(clusters=clusters,
+                          processors_per_cluster=procs_per_cluster,
+                          scc_size=1024, line_size=16,
+                          model_icache=icache, icache_size=256,
+                          icache_line_size=32)
+    streams = {}
+    for proc in range(clusters * procs_per_cluster):
+        ops = draw(st.lists(_OPS, max_size=40))
+        streams[proc] = array("q", [word for op in ops for word in op])
+    rungs = draw(st.lists(st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+                          min_size=1, max_size=4, unique=True))
+    return streams, config, sorted(rungs)
+
+
+@needs_native
+class TestNativeMatchesPython:
+    """``build_row_profile(backend="native")`` must serialize to the
+    same bytes as the python reference."""
+
+    @given(row_tapes())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_tapes(self, tape):
+        streams, config, tracked = tape
+        assert_builders_agree(streams, config, tracked)
+
+    def test_contended_tapes(self):
+        for seed in range(50):
+            tape = generate_contended_tape(seed)
+            config = tape.config()
+            tracked = (4, config.scc_lines, 4 * config.scc_lines)
+            outcome = assert_builders_agree(tape.streams, config, tracked)
+            assert isinstance(outcome, str), (seed, outcome)
+
+    @pytest.mark.parametrize("procs", [1, 4])
+    @pytest.mark.parametrize("workload", ["barnes-hut", "mp3d",
+                                          "cholesky", "multiprogramming"])
+    def test_recorded_quick_rows(self, workload, procs):
+        profile = PROFILES["quick"]
+        if workload == "multiprogramming":
+            spec = SweepSpec.multiprogramming(profile=profile,
+                                              procs=(procs,))
+        else:
+            spec = SweepSpec.parallel(workload, profile=profile,
+                                      procs=(procs,))
+        configs = spec.configs()
+        config0 = configs[(procs, min(spec.ladder))]
+        tracked = sorted({configs[(procs, paper_bytes)].scc_lines
+                          for paper_bytes in spec.ladder})
+        recorder = StreamRecorder(profile.workload(workload))
+        run_simulation(config0, recorder)
+        outcome = assert_builders_agree(recorder.streams, config0,
+                                        tracked)
+        assert isinstance(outcome, str)
+
+    def test_unknown_opcode_is_a_value_error_on_both(self):
+        config = SystemConfig(clusters=1, processors_per_cluster=1,
+                              scc_size=1024)
+        streams = {0: array("q", [OP_READ, 0, 77, 1])}
+        assert assert_builders_agree(streams, config, (4,)) is ValueError
+
+    @pytest.mark.parametrize("opcode,words", [
+        (OP_READ, 1), (OP_WRITE, 1), (OP_COMPUTE, 1), (OP_IFETCH, 2),
+        (OP_READ_SPAN, 3), (OP_WRITE_SPAN, 2)])
+    def test_truncated_opcode_is_an_index_error_on_both(self, opcode,
+                                                        words):
+        config = SystemConfig(clusters=1, processors_per_cluster=1,
+                              scc_size=1024, model_icache=True)
+        whole = [OP_READ, 0, opcode, 64, 16, 16]
+        streams = {0: array("q", whole[:2 + words])}
+        assert assert_builders_agree(streams, config, (4,)) is IndexError
+        # The kernel must stop at the buffer's end, not read the
+        # operands that happen to follow it in memory.
+        backing = array("q", whole)
+        view = memoryview(backing)[:2 + words]
+        plan = ((view,), array("q", [0]), array("q", [4, 1, 0, 32]),
+                array("q", [4]))
+        with pytest.raises(IndexError):
+            native.load().profile_row(plan)
+
+    @pytest.mark.parametrize("opcode", [OP_LOCK_ACQ, OP_LOCK_REL,
+                                        OP_BARRIER])
+    def test_truncated_sync_opcodes_are_counted_on_both(self, opcode):
+        # The reference never reads a sync opcode's operands.
+        config = SystemConfig(clusters=1, processors_per_cluster=1,
+                              scc_size=1024)
+        streams = {0: array("q", [OP_READ, 0, opcode])}
+        assert isinstance(assert_builders_agree(streams, config, (4,)),
+                          str)
+
+    def test_bad_tracked_counts_raise_alike(self):
+        config = SystemConfig(clusters=1, processors_per_cluster=1,
+                              scc_size=1024)
+        streams = {0: array("q", [OP_READ, 0])}
+        assert assert_builders_agree(streams, config, (3,)) is ValueError
+        assert assert_builders_agree(streams, config, ()) is IndexError
+
+
+@needs_native
+def test_disabled_extension_builds_identical_session_profiles(
+        tmp_path, monkeypatch):
+    """With ``REPRO_NATIVE=0`` an analytical session falls back to the
+    python builder and caches byte-identical profiles."""
+    profile = ExperimentProfile(
+        name="tiny", ladder_scale=8, barnes_bodies=32, barnes_steps=1,
+        mp3d_particles=60, mp3d_steps=1, cholesky_n=64,
+        multiprog_instructions=2000, multiprog_quantum=500)
+    spec = SweepSpec.multiprogramming(profile=profile, procs=(1, 2),
+                                      ladder=(2048, 4096),
+                                      instrument=False,
+                                      fidelity="analytical")
+
+    def session_profiles(name):
+        traces = TraceCache(tmp_path / name)
+        session = SweepSession(spec, cache=None, trace_cache=traces)
+        session.run()
+        files = sorted((tmp_path / name / "profiles").glob("*.json"))
+        return (session.registry.counter_group("session.profiles"),
+                {path.name: path.read_text() for path in files})
+
+    compiled_counts, compiled = session_profiles("native")
+    monkeypatch.setenv("REPRO_NATIVE", "0")
+    try:
+        assert native.load(rebuild=True) is None
+        python_counts, python = session_profiles("python")
+    finally:
+        monkeypatch.undo()
+        native.load(rebuild=True)
+    assert compiled_counts == {"native": 2}
+    assert python_counts == {"python": 2}
+    assert len(compiled) == 2 and compiled == python

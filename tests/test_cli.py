@@ -239,6 +239,23 @@ class TestBench:
                 if f"{name}_events_per_s" in row:
                     assert row[f"{name}_speedup"] > 0
 
+    def test_bench_analytical_reports_profile_builds(self, capsys,
+                                                     tmp_path):
+        import json
+        from repro.trace.engine import native_available
+        out_path = tmp_path / "bench.json"
+        assert main(["bench", "--repeat", "1", "--scenario", "analytical",
+                     "--out", str(out_path)]) == 0
+        assert "profile build" in capsys.readouterr().out
+        model = json.loads(out_path.read_text())["analytical_model"]
+        assert model["profile_build_python_s"] > 0
+        if native_available():
+            assert model["profile_engine"] == "native"
+            assert model["profile_build_speedup"] > 1
+        else:
+            assert model["profile_engine"] == "python"
+            assert model["profile_build_native_s"] is None
+
 
 class TestOptimizeCommand:
     @pytest.fixture
