@@ -2,9 +2,10 @@
 """Capture a reference trace, inspect it, and replay it bit-for-bit.
 
 Shows the trace tooling end to end: materialize a static reference
-stream, save it in the binary trace format, characterize it (event mix,
-working set, miss-ratio curve), and replay the file through the
-simulator, verifying the replay reproduces the original run exactly.
+stream, pack it and store it in the on-disk trace cache, characterize it
+(event mix, working set, miss-ratio curve), and replay the stored
+recording through the simulator, verifying the replay reproduces the
+original run exactly.
 
 Usage:  python examples/trace_capture.py
 """
@@ -14,10 +15,12 @@ from pathlib import Path
 
 from repro.api import KB, SystemConfig
 from repro.core import MultiprocessorSystem
-from repro.trace import (TimingInterleaver, event_histogram, load_trace,
-                         miss_ratio_curve, reference_count, save_trace,
-                         working_set_lines)
+from repro.trace import (TimingInterleaver, TraceCache, decode_events,
+                         encode_events, event_histogram, miss_ratio_curve,
+                         reference_count, working_set_lines)
 from repro.workloads import spec92_workload
+
+SIGNATURE = "trace-capture|spec92|2 processes"
 
 
 def simulate(streams, config):
@@ -37,14 +40,17 @@ def main():
     streams = [list(apps[0].burst(20_000)), list(apps[1].burst(20_000))]
 
     with tempfile.TemporaryDirectory() as directory:
-        paths = []
-        for index, events in enumerate(streams):
-            path = Path(directory) / f"proc{index}.trace"
-            count = save_trace(path, events)
-            size = path.stat().st_size
-            print(f"captured proc {index}: {count:,} events -> "
-                  f"{size:,} bytes ({size / count:.1f} B/event)")
-            paths.append(path)
+        cache = TraceCache(Path(directory))
+        packed = {proc: encode_events(events)
+                  for proc, events in enumerate(streams)}
+        cache.put(SIGNATURE, packed)
+        for proc, events in enumerate(streams):
+            size = 8 * len(packed[proc])
+            print(f"captured proc {proc}: {len(events):,} events -> "
+                  f"{size:,} bytes ({size / len(events):.1f} B/event)")
+        on_disk = sum(path.stat().st_size
+                      for path in Path(directory).iterdir())
+        print(f"trace file: {on_disk:,} bytes")
 
         print("\ntrace characterization (proc 0):")
         histogram = event_histogram(streams[0])
@@ -60,7 +66,9 @@ def main():
 
         print("\nreplaying from disk...")
         direct_time, direct_stats = simulate(streams, config)
-        reloaded = [load_trace(path) for path in paths]
+        recording = cache.get(SIGNATURE)
+        reloaded = [list(decode_events(recording[proc]))
+                    for proc in sorted(recording)]
         replay_time, replay_stats = simulate(reloaded, config)
 
         print(f"  direct run : {direct_time:,} cycles, "
@@ -71,6 +79,7 @@ def main():
                      and direct_stats.total_scc.as_dict()
                      == replay_stats.total_scc.as_dict())
         print(f"  bit-for-bit identical: {identical}")
+    return identical
 
 
 if __name__ == "__main__":

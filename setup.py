@@ -35,7 +35,7 @@ class optional_build_ext(build_ext):
 
     def _skip(self, exc):
         print(f"WARNING: native replay backend not built ({exc}); "
-              f"the numpy and python tiers remain fully functional")
+              f"the python tier remains fully functional")
 
 
 if os.environ.get("REPRO_BUILD_NATIVE", "1") == "0":

@@ -740,22 +740,14 @@ def _race_engines(config, app, repeat: int) -> dict:
     """Best-of-``repeat`` replay rate of ``app`` on every available
     backend, cross-checked for bit-identical statistics.  ``speedup``
     entries are relative to the python loop.
-
-    One untimed warmup replay precedes the timed repeats: sweeps
-    replay each recorded tape once per ladder rung, so the number that
-    matters is the steady-state rate with the numpy tier's per-stream
-    decode cache warm, not the first-touch decode cost.
     """
     import time
     from .trace.engine import available_backends
     backends = available_backends()
-    if "python" not in backends:
-        backends.append("python")
     rates = {}
     reference = None
     for name in backends:
         best = None
-        run_simulation(config, app, backend=name)  # warmup (decode cache)
         for _ in range(max(1, repeat)):
             begin = time.perf_counter()
             result = run_simulation(config, app, backend=name)
@@ -914,8 +906,8 @@ def _bench_fused(repeat: int, backend: Optional[str] = None) -> dict:
     from .experiments.runner import PAPER_LADDER, PROFILES, ResultCache
     from .experiments.session import run_sweep
     from .experiments.spec import SweepSpec
-    from .trace import multiconfig
     from .trace.engine import backend_info
+    from .trace.multiconfig import fused_ladder_results
     from .trace.record import TraceCache
     profile = PROFILES["quick"]
     ladder = PAPER_LADDER
@@ -944,6 +936,13 @@ def _bench_fused(repeat: int, backend: Optional[str] = None) -> dict:
                 if sweep != reference:
                     raise AssertionError(
                         "fused and per-size ladder results diverge")
+        # One more pass over the row's recorded tape names the ladder
+        # engine the fused sweeps ran on.
+        configs = list(specs[True].configs().values())
+        streams = trace_cache.get(profile.workload(
+            "multiprogramming").trace_signature(configs[0]))
+        ladder_engine = fused_ladder_results(configs, streams,
+                                             backend=backend)[0].engine
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     per_size_s = min(timings[False])
@@ -952,7 +951,7 @@ def _bench_fused(repeat: int, backend: Optional[str] = None) -> dict:
         "grid": f"multiprogramming quick, ladder={sorted(ladder)}, "
                 f"procs={list(procs)}, warm trace cache",
         "engine": backend_info(backend),
-        "ladder_engine": multiconfig.LAST_LADDER_ENGINE,
+        "ladder_engine": ladder_engine,
         "per_size_warm_s": round(per_size_s, 4),
         "fused_warm_s": round(fused_s, 4),
         "speedup": round(per_size_s / fused_s, 2),
@@ -1083,13 +1082,13 @@ def _cmd_bench(args) -> int:
         print(f"  speedup         : {point['speedup']:.2f}x")
     if args.scenario in ("all", "packed"):
         print("timing packed replay engines "
-              "(python vs numpy vs native on two tapes)...")
+              "(python vs native on two tapes)...")
         report["packed_engines"] = packed = _bench_packed(args.repeat)
         for key in ("micro", "barnes_hut_8p_8kb"):
             row = packed[key]
             print(f"  {row['kind']}: {row['workload']}, "
                   f"{row['events']:,} events")
-            for name in ("python", "numpy", "native"):
+            for name in ("python", "native"):
                 rate = row.get(f"{name}_events_per_s")
                 if rate is None:
                     continue

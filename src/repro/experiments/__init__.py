@@ -12,8 +12,7 @@ from .parallel import (PAPER_CHOLESKY_SPEEDUPS, PAPER_MP3D_SPEEDUPS,
 from .report import format_size, render_ascii_chart, render_table
 from .runner import (CACHE_VERSION, PAPER_LADDER, PROCS_SWEPT, PROFILES,
                      ExperimentProfile, ResultCache, RunStats,
-                     active_profile, default_cache, miss_surface_sweep,
-                     multiprogramming_sweep, parallel_sweep, run_point)
+                     active_profile, default_cache, run_point)
 from .session import (QuarantinedPointError, SessionJournal,
                       SessionResult, SweepSession, default_session_dir,
                       grid_sweep, prune_stale_journals, run_sweep)
@@ -34,8 +33,7 @@ __all__ = [
     "render_svg_chart", "save_svg_chart",
     "CACHE_VERSION", "PAPER_LADDER", "PROCS_SWEPT", "PROFILES",
     "ExperimentProfile", "ResultCache", "RunStats", "active_profile",
-    "default_cache", "miss_surface_sweep", "multiprogramming_sweep",
-    "parallel_sweep", "run_point",
+    "default_cache", "run_point",
     "KNOWN_BENCHMARKS", "SweepSpec", "point_cache_key",
     "QuarantinedPointError", "SessionJournal", "SessionResult",
     "SweepSession", "default_session_dir", "grid_sweep",

@@ -1,6 +1,7 @@
 """Section 3.1 experiment pipelines: Figures 2-4 and Tables 3-4.
 
-Each function takes a sweep from :func:`repro.experiments.runner.parallel_sweep`
+Each function takes a sweep from
+``run_sweep(SweepSpec.parallel(...))`` (:mod:`repro.experiments.session`)
 and produces both the data (for assertions) and a printable report that
 mirrors the paper's presentation.  The paper's own numbers are included
 as constants so every bench prints paper-vs-measured.

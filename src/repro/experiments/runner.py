@@ -19,9 +19,7 @@ scaled runs recorded in EXPERIMENTS.md.  Select with the
 Sweeps are *described* by a :class:`~repro.experiments.spec.SweepSpec`
 and *driven* by :func:`~repro.experiments.session.run_sweep` (which
 adds journaled resume, retries, and quarantine on top of the machinery
-here).  The historical entry points -- :func:`parallel_sweep`,
-:func:`multiprogramming_sweep`, :func:`miss_surface_sweep` -- remain as
-thin deprecated shims over that API.
+here).
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ import logging
 import os
 import signal
 import threading
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -46,12 +43,11 @@ from ..trace.multiconfig import (fused_ladder_results,
                                  fused_ladder_supported)
 from ..trace.record import ReplayApplication, StreamRecorder, TraceCache
 from .spec import (CACHE_VERSION, PAPER_LADDER, PROCS_SWEPT, PROFILES,
-                   ExperimentProfile, GridPoint, SweepSpec,
-                   active_profile, point_cache_key)
+                   ExperimentProfile, GridPoint, active_profile,
+                   point_cache_key)
 
 __all__ = ["RunStats", "ExperimentProfile", "PROFILES", "active_profile",
-           "ResultCache", "default_cache", "run_point", "parallel_sweep",
-           "multiprogramming_sweep", "miss_surface_sweep", "PAPER_LADDER",
+           "ResultCache", "default_cache", "run_point", "PAPER_LADDER",
            "PROCS_SWEPT", "CACHE_VERSION"]
 
 _LOG = logging.getLogger(__name__)
@@ -440,85 +436,3 @@ def _resolve_via_traces(benchmark: str, profile: ExperimentProfile,
                       stats)
         sweep[point] = stats
     return remainder
-
-
-# ----------------------------------------------------------------------
-# Legacy sweep entry points (shims over run_sweep)
-# ----------------------------------------------------------------------
-
-_SHIM_DEPRECATION = ("{}() is deprecated and will be removed in "
-                     "repro 2.0; build a repro.experiments.SweepSpec "
-                     "and call run_sweep(spec) instead")
-
-
-def parallel_sweep(benchmark: str,
-                   profile: Optional[ExperimentProfile] = None,
-                   cache: Optional[ResultCache] = None,
-                   ladder: Optional[Tuple[int, ...]] = None,
-                   procs: Tuple[int, ...] = PROCS_SWEPT,
-                   jobs: Optional[int] = None,
-                   instrument: bool = True,
-                   trace_cache: Optional[TraceCache] = None,
-                   fused: bool = True) -> Sweep:
-    """Deprecated: the Section 3.1 grid for one parallel benchmark.
-
-    Equivalent to ``run_sweep(SweepSpec.parallel(...))`` with the old
-    fail-fast semantics (``max_attempts=1``, no journal); results are
-    bit-identical to the new path (pinned by
-    ``tests/experiments/test_session.py``).
-    """
-    # stacklevel=2: the warning must point at the *caller* of the shim.
-    warnings.warn(_SHIM_DEPRECATION.format("parallel_sweep"),
-                  DeprecationWarning, stacklevel=2)
-    from .session import run_sweep
-    spec = SweepSpec.parallel(benchmark, profile=profile,
-                              ladder=ladder, procs=procs, jobs=jobs,
-                              instrument=instrument, fused=fused,
-                              max_attempts=1)
-    return run_sweep(spec, cache=cache if cache is not None
-                     else default_cache(),
-                     trace_cache=trace_cache)
-
-
-def multiprogramming_sweep(profile: Optional[ExperimentProfile] = None,
-                           cache: Optional[ResultCache] = None,
-                           ladder: Optional[Tuple[int, ...]] = None,
-                           procs: Tuple[int, ...] = PROCS_SWEPT,
-                           jobs: Optional[int] = None,
-                           instrument: bool = True,
-                           trace_cache: Optional[TraceCache] = None,
-                           fused: bool = True) -> Sweep:
-    """Deprecated: the Section 3.2 grid (single cluster, icache
-    modelled and scaled).  See :func:`parallel_sweep`."""
-    warnings.warn(_SHIM_DEPRECATION.format("multiprogramming_sweep"),
-                  DeprecationWarning, stacklevel=2)
-    from .session import run_sweep
-    spec = SweepSpec.multiprogramming(profile=profile, ladder=ladder,
-                                      procs=procs, jobs=jobs,
-                                      instrument=instrument, fused=fused,
-                                      max_attempts=1)
-    return run_sweep(spec, cache=cache if cache is not None
-                     else default_cache(),
-                     trace_cache=trace_cache)
-
-
-def miss_surface_sweep(benchmark: str,
-                       profile: Optional[ExperimentProfile] = None,
-                       procs_per_cluster: int = 4,
-                       ladder: Optional[Tuple[int, ...]] = None,
-                       trace_cache: Optional[TraceCache] = None):
-    """Deprecated: approximate per-process miss surface of one
-    parallel-grid row; equivalent to
-    ``run_sweep(SweepSpec.miss_surface(...))``.
-
-    Returns ``{process: {paper_bytes: MissSurfacePoint}}`` -- miss
-    *counts* under fixed interleaving, not RunStats; use it to find
-    working-set knees before spending full simulations on them.
-    """
-    warnings.warn(_SHIM_DEPRECATION.format("miss_surface_sweep"),
-                  DeprecationWarning, stacklevel=2)
-    from .session import run_sweep
-    spec = SweepSpec.miss_surface(benchmark, profile=profile,
-                                  procs_per_cluster=procs_per_cluster,
-                                  ladder=ladder)
-    return run_sweep(spec, trace_cache=trace_cache)

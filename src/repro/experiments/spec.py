@@ -257,7 +257,7 @@ class SweepSpec:
 
     backend: Optional[str] = None
     """Packed-replay engine for simulated points (``auto``/``python``/
-    ``numpy``/``native``; see :mod:`repro.trace.engine`).  Execution
+    ``native``; see :mod:`repro.trace.engine`).  Execution
     knob only: every backend produces bit-identical statistics, so it is
     deliberately absent from :meth:`describe`, :meth:`signature` and
     :meth:`point_key` -- switching engines never invalidates a journal

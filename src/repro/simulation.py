@@ -16,7 +16,7 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .core.config import SystemConfig
@@ -54,6 +54,12 @@ class SimulationResult:
     """The :class:`~repro.instrument.InstrumentationProbe` the run was
     started with (``None`` for uninstrumented runs); its ``registry``
     holds the binned timelines and its ``summary()`` the flat digest."""
+
+    engine: Optional[str] = field(default=None, compare=False)
+    """Engine that produced the result: the interleaver's
+    (``generic``/``python``/``native``) or the fused ladder's
+    (``python``/``native``).  Diagnostic only -- every engine is
+    bit-identical, so it never enters equality, digests or cache keys."""
 
     @property
     def execution_time(self) -> int:
@@ -102,10 +108,11 @@ def run_simulation(config: SystemConfig, application,
     one pointer comparison per event.
 
     ``backend`` picks the packed-replay engine (``auto``/``python``/
-    ``numpy``/``native``; see :mod:`repro.trace.engine`).  It is an
-    execution knob, not part of the machine: every backend produces
-    identical statistics, so results and caches never depend on it.
-    ``None`` defers to ``$REPRO_ENGINE``.
+    ``native``; see :mod:`repro.trace.engine`).  It is an execution
+    knob, not part of the machine: every backend produces identical
+    statistics, so results and caches never depend on it; the engine
+    that actually ran is reported as the result's ``engine``.  ``None``
+    defers to ``$REPRO_ENGINE``.
     """
     system = build_system(config, instrumentation=instrumentation)
     interleaver = TimingInterleaver(system, backend=backend)
@@ -120,4 +127,5 @@ def run_simulation(config: SystemConfig, application,
     return SimulationResult(config=config,
                             stats=system.stats(execution_time),
                             events_processed=interleaver.events_processed,
-                            instrumentation=instrumentation)
+                            instrumentation=instrumentation,
+                            engine=interleaver.engine_used)

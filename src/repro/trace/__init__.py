@@ -3,9 +3,8 @@
 Event vocabulary (:mod:`~repro.trace.events`), the packed allocation-free
 encoding (:mod:`~repro.trace.packed`), the timing-feedback interleaver
 (:mod:`~repro.trace.interleave`), whole-stream record/replay and the
-trace cache (:mod:`~repro.trace.record`), stream utilities
-(:mod:`~repro.trace.stream`) and a binary trace-file format
-(:mod:`~repro.trace.tracefile`).
+on-disk trace format (:mod:`~repro.trace.record`) and stream utilities
+(:mod:`~repro.trace.stream`).
 """
 
 from .analysis import (data_lines, miss_ratio_curve, stack_distances,
@@ -22,7 +21,6 @@ from .record import (ReplayApplication, StreamRecorder, TraceCache,
                      default_trace_cache)
 from .stream import (coalesce_compute, event_histogram, materialize, replay,
                      reference_count)
-from .tracefile import TraceFormatError, load_trace, save_trace
 
 __all__ = [
     "Barrier", "Compute", "Ifetch", "LockAcquire", "LockRelease", "Read",
@@ -34,7 +32,7 @@ __all__ = [
     "default_trace_cache",
     "Race", "RaceDetector",
     "coalesce_compute", "event_histogram", "materialize", "replay",
-    "reference_count", "TraceFormatError", "load_trace", "save_trace",
+    "reference_count",
     "data_lines", "miss_ratio_curve", "stack_distances",
     "working_set_lines",
 ]

@@ -193,7 +193,7 @@ class TimingInterleaver:
         self.backend = resolve_backend(backend)
         self.engine_used: Optional[str] = None
         """Concrete engine the last :meth:`run` executed on
-        (``generic``/``python``/``numpy``/``native``)."""
+        (``generic``/``python``/``native``)."""
 
     # ------------------------------------------------------------------
     # Setup
@@ -236,11 +236,7 @@ class TimingInterleaver:
                     # The extension disappeared after resolution (e.g.
                     # cache cleared mid-process); degrade like auto.
                     backend = self.backend = resolve_backend("auto")
-            if backend == "numpy":
-                from .engine import numpy_backend
-                self.engine_used = "numpy"
-                finish_time = numpy_backend.run(self, max_cycles)
-            elif backend == "python":
+            if backend == "python":
                 self.engine_used = "python"
                 finish_time = self._run_fast(max_cycles)
         else:

@@ -75,7 +75,7 @@ from __future__ import annotations
 from array import array as _qarray_type
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .engine import resolve_backend
 from .interleave import DeadlockError, SyncProtocolError, fused_replay_ok
@@ -87,12 +87,7 @@ from ..core.config import SystemConfig
 from ..core.system import MultiprocessorSystem
 
 __all__ = ["fused_ladder_supported", "fused_ladder_results",
-           "per_process_miss_surface", "MissSurfacePoint"]
-
-#: Engine that executed the most recent fused pass (``"python"`` or
-#: ``"native"``).  Diagnostic only -- read by tests and the bench CLI to
-#: assert the compiled ladder actually engaged; never an input.
-LAST_LADDER_ENGINE = "python"
+           "ladder_engine", "per_process_miss_surface", "MissSurfacePoint"]
 
 
 def _qarray(values) -> "_qarray_type":
@@ -125,10 +120,21 @@ def fused_ladder_supported(configs: Sequence[SystemConfig]) -> bool:
     return True
 
 
+def ladder_engine(backend: Optional[str] = None) -> str:
+    """Engine a fused pass requested with ``backend`` runs on:
+    ``"native"`` when the request resolves to the native tier and the
+    extension's ladder entry points load, ``"python"`` otherwise."""
+    if resolve_backend(backend) == "native":
+        from .engine import native
+        if native.ladder_available():
+            return "native"
+    return "python"
+
+
 def fused_ladder_results(configs: Sequence[SystemConfig],
                          streams: Dict[int, Sequence[int]],
                          check_invariants: bool = True,
-                         backend: str = None) -> List:
+                         backend: Optional[str] = None) -> List:
     """Replay one recorded single-process stream on every configuration.
 
     ``configs`` must satisfy :func:`fused_ladder_supported` (raises
@@ -139,19 +145,17 @@ def fused_ladder_results(configs: Sequence[SystemConfig],
     :class:`~repro.simulation.SimulationResult` per configuration, in
     input order, bit-identical to what
     :func:`~repro.simulation.run_simulation` of a
-    :class:`~repro.trace.record.ReplayApplication` would produce.
+    :class:`~repro.trace.record.ReplayApplication` would produce; each
+    result's ``engine`` names the ladder that ran.
 
     ``backend`` follows the replay-engine precedence (argument ->
     ``$REPRO_ENGINE`` -> ``auto``): a ``native`` resolution runs the
     pass through the C extension's ladder entry points, degrading to
-    the python pass when the extension is missing, disabled via
-    ``REPRO_NATIVE=0``, or predates the ladder ABI.  There is no
-    vectorized middle tier for the ladder, so a ``numpy`` resolution
-    also runs the (scalar) python pass.  The choice is execution-only:
-    results are bit-identical across engines and the knob never enters
-    spec signatures or cache keys.
+    the python pass when the extension is missing or disabled via
+    ``REPRO_NATIVE=0`` (see :func:`ladder_engine`).  The choice is
+    execution-only: results are bit-identical across engines and the
+    knob never enters spec signatures or cache keys.
     """
-    global LAST_LADDER_ENGINE
     from ..simulation import SimulationResult
     if not fused_ladder_supported(configs):
         raise ValueError(
@@ -165,15 +169,9 @@ def fused_ladder_results(configs: Sequence[SystemConfig],
                    key=lambda position: configs[position].scc_size)
     ladder = [configs[position] for position in order]
     systems = [MultiprocessorSystem(config) for config in ladder]
-    passed = None
-    LAST_LADDER_ENGINE = "python"
-    if resolve_backend(backend) == "native":
-        passed = _fused_pass_native(ladder, systems, streams[0])
-        if passed is not None:
-            LAST_LADDER_ENGINE = "native"
-    if passed is None:
-        passed = _fused_pass(ladder, systems, streams[0])
-    events, times = passed
+    engine = ladder_engine(backend)
+    fused_pass = _fused_pass_native if engine == "native" else _fused_pass
+    events, times = fused_pass(ladder, systems, streams[0])
     results: List = [None] * len(configs)
     for rung, position in enumerate(order):
         system = systems[rung]
@@ -183,7 +181,8 @@ def fused_ladder_results(configs: Sequence[SystemConfig],
             config=ladder[rung],
             stats=system.stats(times[rung]),
             events_processed=events,
-            instrumentation=None)
+            instrumentation=None,
+            engine=engine)
     return results
 
 
@@ -795,15 +794,12 @@ def _fused_pass_native(ladder: List[SystemConfig],
     """Run the fused pass through the C extension's ladder entry points.
 
     Returns ``(events_processed, per-size finish times)`` exactly like
-    :func:`_fused_pass`, or ``None`` when the extension is unavailable
-    or predates the ladder ABI (callers degrade to the python pass).
+    :func:`_fused_pass`; callers check :func:`ladder_engine` first.
     Queue, lock and barrier opcodes are deferred back here (drain status
     2) so their error messages and accounting match the python pass
     byte for byte.
     """
     from .engine import native as _native
-    if not _native.ladder_available():
-        return None
     native = _native.load()
     config = ladder[0]
     n_sizes = len(ladder)

@@ -11,7 +11,7 @@ exposes:
   automatically whenever the machine qualifies); compared on cycle
   counts, per-cluster statistics, bus counters, and final tag/state
   arrays.
-* **numpy** / **native** -- the replay backends from
+* **native** -- the compiled replay backend from
   :mod:`repro.trace.engine`, run through the same packed fast path with
   ``backend=`` forced; compared on the full fingerprint.  Backends are
   discovered through :func:`engine_registry`, so a new backend is diffed
@@ -40,8 +40,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..core.system import MultiprocessorSystem
 from ..trace.engine import available_backends
 from ..trace.interleave import TimingInterleaver, fused_replay_ok
-from ..trace import multiconfig
-from ..trace.multiconfig import fused_ladder_results, fused_ladder_supported
+from ..trace.multiconfig import (fused_ladder_results, fused_ladder_supported,
+                                 ladder_engine)
 from .oracle import FunctionalOracle
 from .tapes import Tape
 
@@ -116,7 +116,7 @@ _FULL = ("events", "stats", "bus", "arrays")
 
 #: Packed-path replay backends, keyed by differ mode name.  ``fast`` is
 #: the python reference loop; the rest come from repro.trace.engine.
-_BACKEND_MODES = {"fast": "python", "numpy": "numpy", "native": "native"}
+_BACKEND_MODES = {"fast": "python", "native": "native"}
 
 
 def engine_registry() -> Dict[str, EngineSpec]:
@@ -218,9 +218,9 @@ def _run_fused(tape: Tape, config,
                                       backend=backend)[0]
     except Exception as exc:
         result.error = (type(exc).__name__, str(exc))
-        result.engine_used = multiconfig.LAST_LADDER_ENGINE
+        result.engine_used = ladder_engine(backend)
         return result
-    result.engine_used = multiconfig.LAST_LADDER_ENGINE
+    result.engine_used = bottom.engine
     if backend is not None and result.engine_used != backend:
         # A silently degraded ladder would agree with the baseline by
         # construction; make the degradation a loud divergence instead.

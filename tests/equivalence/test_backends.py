@@ -2,8 +2,8 @@
 
 The golden suite (:mod:`tests.equivalence.test_golden_stats`) pins the
 python fast path against pre-packed-encoding fingerprints.  This module
-closes the loop for the compiled tiers: every *available* backend
-(numpy, and native when a toolchain is present) re-runs the full golden
+closes the loop for the compiled tier: every *available* compiled
+backend (native, when a toolchain is present) re-runs the full golden
 grid with ``backend=`` forced and must reproduce the same fingerprints
 bit for bit.  A backend that silently degraded to python would pass
 trivially, so the resolution is asserted too.

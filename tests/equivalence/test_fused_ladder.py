@@ -14,9 +14,8 @@ Two layers of pinning:
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.experiments import runner
-from repro.experiments.runner import (ExperimentProfile, ResultCache,
-                                      multiprogramming_sweep)
+from repro.experiments import SweepSpec, run_sweep, runner
+from repro.experiments.runner import ExperimentProfile, ResultCache
 from repro.simulation import run_simulation
 from repro.trace import multiconfig
 from repro.trace.engine import (available_backends, native_available,
@@ -83,10 +82,8 @@ def test_fused_fingerprints_on_every_backend(variant, backend,
                                              monkeypatch):
     """The fingerprint grid above re-run with each compiled backend
     forced through ``$REPRO_ENGINE``, resolution asserted (mirrors
-    ``test_backends.py``).  The ladder itself has python and native
-    implementations only, so a ``numpy`` request must degrade to the
-    python ladder while per-size replay rides the numpy tier -- and a
-    ``native`` request must genuinely engage the compiled ladder."""
+    ``test_backends.py``); a ``native`` request must genuinely engage
+    the compiled ladder."""
     monkeypatch.setenv("REPRO_ENGINE", backend)
     assert resolve_backend() == backend
     if backend == "native" and not ladder_available():
@@ -101,8 +98,7 @@ def test_fused_fingerprints_on_every_backend(variant, backend,
         per_size = run_simulation(config,
                                   ReplayApplication(streams, name="mp"))
         assert fingerprint(fused) == fingerprint(per_size)
-    expected = "native" if backend == "native" else "python"
-    assert multiconfig.LAST_LADDER_ENGINE == expected
+        assert fused.engine == backend
 
 
 def test_native_ladder_present_or_reason():
@@ -120,8 +116,9 @@ def test_native_ladder_present_or_reason():
     configs = golden_ladder()
     recorder = StreamRecorder(golden_workload())
     run_simulation(configs[0], recorder)
-    fused_ladder_results(configs, recorder.streams, backend="native")
-    assert multiconfig.LAST_LADDER_ENGINE == "native"
+    results = fused_ladder_results(configs, recorder.streams,
+                                   backend="native")
+    assert {result.engine for result in results} == {"native"}
 
 
 def test_ladder_backend_knob_degrades_gracefully(monkeypatch):
@@ -137,21 +134,21 @@ def test_ladder_backend_knob_degrades_gracefully(monkeypatch):
                                                backend="python")]
     monkeypatch.setattr(multiconfig, "resolve_backend",
                         lambda request=None, strict=False: "python")
-    degraded = [fingerprint(r)
-                for r in fused_ladder_results(configs, streams,
-                                              backend="native")]
-    assert degraded == reference
-    assert multiconfig.LAST_LADDER_ENGINE == "python"
+    results = fused_ladder_results(configs, streams, backend="native")
+    assert [fingerprint(r) for r in results] == reference
+    assert {result.engine for result in results} == {"python"}
 
 
 def test_sweep_results_identical_with_and_without_fusion(tmp_path):
     trace_cache = TraceCache(tmp_path / "traces")
     sweeps = {}
     for fused in (False, True):
-        sweeps[fused] = multiprogramming_sweep(
-            TINY, ResultCache(tmp_path / f"results-{fused}"),
-            ladder=(32768, 65536, 131072, 262144), procs=(1,),
-            instrument=False, trace_cache=trace_cache, fused=fused)
+        sweeps[fused] = run_sweep(
+            SweepSpec.multiprogramming(
+                TINY, ladder=(32768, 65536, 131072, 262144), procs=(1,),
+                instrument=False, fused=fused, max_attempts=1),
+            cache=ResultCache(tmp_path / f"results-{fused}"),
+            trace_cache=trace_cache)
     assert sweeps[True] == sweeps[False]
     assert len(sweeps[True]) == 4
 
@@ -165,10 +162,12 @@ def test_uniprocessor_row_uses_fused_engine(tmp_path, monkeypatch):
         return real(configs, streams, *args, **kwargs)
 
     monkeypatch.setattr(runner, "fused_ladder_results", spy)
-    multiprogramming_sweep(
-        TINY, ResultCache(tmp_path / "results"),
-        ladder=(32768, 65536, 131072), procs=(1,),
-        instrument=False, trace_cache=TraceCache(tmp_path / "traces"))
+    run_sweep(
+        SweepSpec.multiprogramming(
+            TINY, ladder=(32768, 65536, 131072), procs=(1,),
+            instrument=False, max_attempts=1),
+        cache=ResultCache(tmp_path / "results"),
+        trace_cache=TraceCache(tmp_path / "traces"))
     # One fused pass covering the rungs left after the recording run.
     assert calls == [2]
 
@@ -202,10 +201,12 @@ def test_multiprocess_row_routes_to_per_size_replay(tmp_path, monkeypatch):
             super().__init__(streams, name=name)
 
     monkeypatch.setattr(runner, "ReplayApplication", SpyReplay)
-    sweep = multiprogramming_sweep(
-        profile, ResultCache(tmp_path / "results"),
-        ladder=(32768, 65536, 131072), procs=(2,),
-        instrument=False, trace_cache=TraceCache(tmp_path / "traces"))
+    sweep = run_sweep(
+        SweepSpec.multiprogramming(
+            profile, ladder=(32768, 65536, 131072), procs=(2,),
+            instrument=False, max_attempts=1),
+        cache=ResultCache(tmp_path / "results"),
+        trace_cache=TraceCache(tmp_path / "traces"))
     assert len(sweep) == 3
     # Two rungs after the recording run, each via per-size replay.
     assert len(replays) == 2
@@ -219,9 +220,11 @@ def test_instrumented_row_routes_to_per_size_replay(tmp_path, monkeypatch):
         raise AssertionError("fused engine used on an instrumented row")
 
     monkeypatch.setattr(runner, "fused_ladder_results", forbidden)
-    sweep = multiprogramming_sweep(
-        TINY, ResultCache(tmp_path / "results"),
-        ladder=(32768, 65536), procs=(1,),
-        instrument=True, trace_cache=TraceCache(tmp_path / "traces"))
+    sweep = run_sweep(
+        SweepSpec.multiprogramming(
+            TINY, ladder=(32768, 65536), procs=(1,), instrument=True,
+            max_attempts=1),
+        cache=ResultCache(tmp_path / "results"),
+        trace_cache=TraceCache(tmp_path / "traces"))
     assert len(sweep) == 2
     assert all(stats.instrument is not None for stats in sweep.values())

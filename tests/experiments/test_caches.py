@@ -10,7 +10,7 @@ from array import array
 
 import pytest
 
-from repro.experiments import runner
+from repro.experiments import SweepSpec, run_sweep, runner
 from repro.experiments.runner import (ExperimentProfile, ResultCache,
                                       RunStats, _worker_pool)
 from repro.trace.packed import OP_COMPUTE, OP_READ
@@ -100,17 +100,26 @@ class TestTraceCache:
         assert any("corrupt" in rec.getMessage()
                    for rec in caplog.records)
 
-    def test_truncated_payload_is_deleted(self, tmp_path):
-        """Chopping whole int64s off the stream leaves a parseable file
-        whose payload no longer matches the descriptor -- it must be
-        discarded, not replayed short."""
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda raw: raw[:-8], id="truncated"),
+        pytest.param(lambda raw: raw + bytes(8), id="trailing-bytes"),
+        pytest.param(lambda raw: raw[:4] + bytes([raw[4] + 1]) + raw[5:],
+                     id="wrong-version"),
+    ])
+    def test_truncated_payload_is_deleted(self, tmp_path, caplog, damage):
+        """Whole int64s chopped off or appended, or a foreign format
+        version, leave a file whose header still parses but whose
+        contents no longer match it -- it must be discarded (logged
+        once), not replayed."""
         cache = TraceCache(tmp_path)
         cache.put("sig", self.tape())
         path = cache._path("sig")
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        assert cache.get("sig") is None
+        path.write_bytes(damage(path.read_bytes()))
+        with caplog.at_level(logging.WARNING,
+                             logger="repro.trace.record"):
+            assert cache.get("sig") is None
         assert not path.exists()
+        assert len(caplog.records) == 1
 
     def test_signature_collision_is_a_plain_miss(self, tmp_path,
                                                  monkeypatch):
@@ -138,14 +147,14 @@ class TestWorkerPool:
 
     def test_parallel_grid_matches_serial(self, tmp_path, tiny_profile):
         kwargs = dict(ladder=(32768, 65536), procs=(1, 2),
-                      instrument=False)
-        serial = runner.multiprogramming_sweep(
-            tiny_profile, ResultCache(tmp_path / "serial"), jobs=1,
-            **kwargs)
+                      instrument=False, max_attempts=1)
+        serial = run_sweep(
+            SweepSpec.multiprogramming(tiny_profile, jobs=1, **kwargs),
+            cache=ResultCache(tmp_path / "serial"))
         try:
-            parallel = runner.multiprogramming_sweep(
-                tiny_profile, ResultCache(tmp_path / "parallel"), jobs=2,
-                **kwargs)
+            parallel = run_sweep(
+                SweepSpec.multiprogramming(tiny_profile, jobs=2, **kwargs),
+                cache=ResultCache(tmp_path / "parallel"))
         finally:
             runner._shutdown_pool()
         assert parallel == serial

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.config import KB, SystemConfig
+from repro.experiments import SweepSpec, run_sweep
 from repro.experiments.runner import (PAPER_LADDER, PROFILES, ResultCache,
-                                      RunStats, active_profile,
-                                      parallel_sweep, run_point)
+                                      RunStats, active_profile, run_point)
 
 
 @pytest.fixture
@@ -85,8 +85,11 @@ class TestRunPoint:
 
     def test_sweep_covers_the_grid(self, tmp_path, tiny_profile):
         cache = ResultCache(tmp_path)
-        sweep = parallel_sweep("mp3d", tiny_profile, cache,
-                               ladder=(4 * KB, 64 * KB), procs=(1, 2))
+        sweep = run_sweep(
+            SweepSpec.parallel("mp3d", tiny_profile,
+                               ladder=(4 * KB, 64 * KB), procs=(1, 2),
+                               max_attempts=1),
+            cache=cache)
         assert set(sweep) == {(1, 4 * KB), (2, 4 * KB),
                               (1, 64 * KB), (2, 64 * KB)}
 
@@ -116,21 +119,27 @@ class TestParallelJobs:
         """jobs=2 computes the same stats as a serial sweep and writes
         cache entries a later serial sweep is fully served from."""
         cache = ResultCache(tmp_path)
-        grid = dict(ladder=(2 * KB, 4 * KB), procs=(1, 2))
-        parallel = parallel_sweep("mp3d", tiny_profile, cache, jobs=2,
-                                  **grid)
+        grid = dict(ladder=(2 * KB, 4 * KB), procs=(1, 2),
+                    max_attempts=1)
+        parallel = run_sweep(
+            SweepSpec.parallel("mp3d", tiny_profile, jobs=2, **grid),
+            cache=cache)
         entries = len(list(tmp_path.glob("*.json")))
         assert entries == 4
-        serial = parallel_sweep("mp3d", tiny_profile, cache, jobs=None,
-                                **grid)
+        serial = run_sweep(
+            SweepSpec.parallel("mp3d", tiny_profile, jobs=None, **grid),
+            cache=cache)
         assert serial == parallel
         # Fully cache-served: no new entries were written.
         assert len(list(tmp_path.glob("*.json"))) == entries
 
     def test_jobs_one_is_serial(self, tmp_path, tiny_profile):
         cache = ResultCache(tmp_path)
-        sweep = parallel_sweep("mp3d", tiny_profile, cache, jobs=1,
-                               ladder=(2 * KB,), procs=(1,))
+        sweep = run_sweep(
+            SweepSpec.parallel("mp3d", tiny_profile, jobs=1,
+                               ladder=(2 * KB,), procs=(1,),
+                               max_attempts=1),
+            cache=cache)
         assert sweep[(1, 2 * KB)].execution_time > 0
 
 
@@ -155,14 +164,13 @@ class TestTraceCachedSweep:
         """The single-processor multiprogramming row is recorded at one
         ladder rung and replayed at the others -- with statistics equal
         to simulating each point directly."""
-        from repro.experiments.runner import (_stats_key,
-                                              multiprogramming_sweep)
         from repro.trace.record import TraceCache
         ladder = (2 * KB, 8 * KB, 32 * KB)
         trace_dir = tmp_path / "traces"
-        sweep = multiprogramming_sweep(
-            tiny_profile, ResultCache(tmp_path / "results"),
-            ladder=ladder, procs=(1,),
+        sweep = run_sweep(
+            SweepSpec.multiprogramming(tiny_profile, ladder=ladder,
+                                       procs=(1,), max_attempts=1),
+            cache=ResultCache(tmp_path / "results"),
             trace_cache=TraceCache(trace_dir))
         assert set(sweep) == {(1, size) for size in ladder}
         # One recording serves the whole row.
@@ -182,12 +190,12 @@ class TestTraceCachedSweep:
                                                       tiny_profile):
         """Multi-processor rows race on the run queue, so they must
         simulate normally and leave no recordings behind."""
-        from repro.experiments.runner import multiprogramming_sweep
         from repro.trace.record import TraceCache
         trace_dir = tmp_path / "traces"
-        sweep = multiprogramming_sweep(
-            tiny_profile, ResultCache(tmp_path / "results"),
-            ladder=(2 * KB, 8 * KB), procs=(2,),
+        sweep = run_sweep(
+            SweepSpec.multiprogramming(tiny_profile, ladder=(2 * KB, 8 * KB),
+                                       procs=(2,), max_attempts=1),
+            cache=ResultCache(tmp_path / "results"),
             trace_cache=TraceCache(trace_dir))
         assert len(sweep) == 2
         assert list(trace_dir.glob("*.trace")) == []

@@ -8,9 +8,7 @@ import pytest
 
 from repro.core.config import KB
 from repro.experiments.runner import (ResultCache, RunStats,
-                                      _shutdown_pool, miss_surface_sweep,
-                                      multiprogramming_sweep,
-                                      parallel_sweep)
+                                      _shutdown_pool)
 from repro.experiments.session import (FAULT_INJECT_ENV,
                                        STALE_TMP_AGE_S,
                                        QuarantinedPointError,
@@ -79,49 +77,6 @@ class RecordingCompute:
             self.fail[point] -= 1
             raise RuntimeError(f"scripted failure at {point}")
         return _stats(point[0] * 1000 + point[1])
-
-
-class TestShimEquivalence:
-    def test_parallel_shim_bit_identical(self, tmp_path, tiny_profile):
-        """The deprecated entry point and run_sweep(spec) compute the
-        same grid bit-for-bit from independent caches."""
-        grid = dict(ladder=(4 * KB, 8 * KB), procs=(1, 2))
-        with pytest.warns(DeprecationWarning) as caught:
-            old = parallel_sweep("mp3d", tiny_profile,
-                                 ResultCache(tmp_path / "old"), **grid)
-        # stacklevel=2: the warning must blame the shim's caller.
-        assert caught[0].filename == __file__
-        new = run_sweep(
-            SweepSpec.parallel("mp3d", profile=tiny_profile, **grid),
-            cache=ResultCache(tmp_path / "new"))
-        assert set(old) == set(new)
-        for point in old:
-            assert old[point].as_dict() == new[point].as_dict()
-
-    def test_multiprogramming_shim_bit_identical(self, tmp_path,
-                                                 tiny_profile):
-        grid = dict(ladder=(2 * KB, 4 * KB), procs=(1,))
-        with pytest.warns(DeprecationWarning) as caught:
-            old = multiprogramming_sweep(
-                tiny_profile, ResultCache(tmp_path / "old"), **grid)
-        assert caught[0].filename == __file__
-        new = run_sweep(
-            SweepSpec.multiprogramming(profile=tiny_profile, **grid),
-            cache=ResultCache(tmp_path / "new"))
-        assert set(old) == set(new)
-        for point in old:
-            assert old[point].as_dict() == new[point].as_dict()
-
-    def test_miss_surface_shim_equivalent(self, tiny_profile):
-        ladder = (2 * KB, 8 * KB)
-        with pytest.warns(DeprecationWarning) as caught:
-            old = miss_surface_sweep("mp3d", tiny_profile,
-                                     procs_per_cluster=2, ladder=ladder)
-        assert caught[0].filename == __file__
-        new = run_sweep(SweepSpec.miss_surface(
-            "mp3d", profile=tiny_profile, procs_per_cluster=2,
-            ladder=ladder))
-        assert old == new
 
 
 class TestJournal:

@@ -145,12 +145,11 @@ class TestSignature:
     def test_backend_absent_from_identity_and_point_keys(self,
                                                          tiny_profile):
         """The replay engine is execution-only: warm result caches and
-        journals must survive switching between the python, numpy, and
-        native tiers (and the compiled fused ladder rides the same
-        knob)."""
+        journals must survive switching between the python and native
+        tiers (and the compiled fused ladder rides the same knob)."""
         base = SweepSpec.parallel("mp3d", profile=tiny_profile)
         config = SystemConfig.paper_parallel(2, 1 * KB)
-        for backend in ("python", "numpy", "native", "auto"):
+        for backend in ("python", "native", "auto"):
             other = SweepSpec.parallel("mp3d", profile=tiny_profile,
                                        backend=backend)
             assert "backend" not in other.describe()

@@ -250,16 +250,28 @@ class TestNativeLadderErrorParity:
         assert outcomes["native"][0] is outcomes["python"][0]
 
     def test_synthetic_tape_bit_identical_on_native(self):
-        from repro.trace import multiconfig
         streams = synthetic_tape()
         python = fused_ladder_results(ladder(), streams,
                                       backend="python")
         native = fused_ladder_results(ladder(), streams,
                                       backend="native")
-        assert multiconfig.LAST_LADDER_ENGINE == "native"
         for py_r, nat_r in zip(python, native):
+            assert (py_r.engine, nat_r.engine) == ("python", "native")
             assert nat_r.stats.as_dict() == py_r.stats.as_dict()
             assert nat_r.events_processed == py_r.events_processed
+
+    def test_differ_labels_a_native_ladder_error_native(self):
+        """A tape the C ladder rejects is reported as a failure of the
+        native ladder, the engine that actually ran."""
+        from repro.verify.differ import run_tape
+        from repro.verify.tapes import Tape
+        tape = Tape(seed="native-ladder-error",
+                    config_kwargs=dict(clusters=1, processors_per_cluster=1,
+                                       scc_size=1024),
+                    streams={0: [99, 0]})
+        result = run_tape(tape, "fused-native")
+        assert result.error[0] == "ValueError"
+        assert result.engine_used == "native"
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,9 @@ from repro.core.config import KB, SystemConfig
 from repro.core.system import MultiprocessorSystem
 from repro.trace.events import Compute, Read, Write
 from repro.trace.interleave import TimingInterleaver
+from repro.trace.packed import decode_events, encode_events
+from repro.trace.record import TraceCache
 from repro.trace.stream import coalesce_compute
-from repro.trace.tracefile import load_trace, save_trace
 
 EVENTS = st.lists(st.one_of(
     st.builds(Compute, st.integers(0, 50)),
@@ -59,18 +60,18 @@ class TestTraceFileRoundtripPreservesSimulation:
     @given(EVENTS, EVENTS)
     @settings(max_examples=30, deadline=None)
     def test_saved_and_reloaded_traces_simulate_identically(self, a, b):
+        """An RPTC round trip (encode, store, load, decode) replays
+        exactly like the original event objects."""
         import tempfile
-        from pathlib import Path
         with tempfile.TemporaryDirectory() as directory:
-            paths = []
-            for index, events in enumerate((a, b)):
-                path = Path(directory) / f"p{index}.trace"
-                save_trace(path, events)
-                paths.append(path)
+            cache = TraceCache(directory)
+            cache.put("sig", {0: encode_events(a), 1: encode_events(b)})
+            loaded = cache.get("sig")
             direct_time, direct_stats = run_streams(
                 [a, b, [Compute(1)], [Compute(1)]])
             replay_time, replay_stats = run_streams(
-                [load_trace(paths[0]), load_trace(paths[1]),
+                [list(decode_events(loaded[0])),
+                 list(decode_events(loaded[1])),
                  [Compute(1)], [Compute(1)]])
         assert replay_time == direct_time
         assert (replay_stats.total_scc.as_dict()

@@ -112,6 +112,16 @@ class TestTraceCache:
         assert cache.directory == tmp_path / "traces"
         assert cache.directory.is_dir()
 
+    def test_trace_capture_example_replays_bit_for_bit(self, capsys):
+        """``examples/trace_capture.py`` stores two captured streams in
+        the trace cache and replays them from disk exactly."""
+        import runpy
+        from pathlib import Path
+        example = (Path(__file__).resolve().parents[2] / "examples"
+                   / "trace_capture.py")
+        assert runpy.run_path(str(example))["main"]() is True
+        assert "bit-for-bit identical: True" in capsys.readouterr().out
+
 
 class TestSignatures:
     def test_signature_covers_parameters_and_layout(self):

@@ -27,7 +27,7 @@ from repro.trace.record import ReplayApplication
 CONFIG = SystemConfig(clusters=1, processors_per_cluster=1,
                       scc_size=1024, line_size=16)
 
-CONSUMERS = ["replay-python", "replay-numpy", "replay-native",
+CONSUMERS = ["replay-python", "replay-native",
              "replay-generic", "fused-python", "fused-native",
              "profile-python",
              "profile-native", "decode_events", "event_count",
