@@ -4,7 +4,7 @@
 Boots a real fabric -- broker, worker thread, asyncio HTTP service --
 on a fresh on-disk store, then requires
 
-* the grid fetched over HTTP to equal a plain local ``grid_sweep``
+* the grid fetched over HTTP to equal a plain local ``run_sweep``
   bit-for-bit,
 * a second submission of the same grid to be served entirely from the
   store: zero simulator invocations (counted via a hook), zero work
@@ -26,7 +26,7 @@ from pathlib import Path
 
 from repro.core.config import KB
 from repro.experiments import PROFILES
-from repro.experiments.session import grid_sweep
+from repro.experiments.session import run_sweep
 from repro.experiments.spec import SweepSpec
 from repro.fabric import (ArtifactStore, Broker, SweepClient, Worker,
                           start_in_thread)
@@ -67,7 +67,7 @@ def main() -> None:
         try:
             client = SweepClient.connect(url)
 
-            local = grid_sweep(spec, cache=None)
+            local = run_sweep(spec, cache=None)
             cold = client.submit(spec)
             print(f"cold job {cold.job}: {cold.total} points, "
                   f"{cold.pending_units} units")
@@ -80,7 +80,7 @@ def main() -> None:
                     fail(f"point {point} differs over HTTP:\n"
                          f"  fabric: {ours.as_dict()}\n"
                          f"  local:  {theirs.as_dict()}")
-            print(f"HTTP grid identical to local grid_sweep "
+            print(f"HTTP grid identical to local run_sweep "
                   f"({len(local)} points)")
 
             calls = count_simulations()

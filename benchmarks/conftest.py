@@ -62,7 +62,7 @@ def save_figure():
     return _save
 
 
-def grid_sweep(benchmark_name: str, profile, cache):
+def paper_grid(benchmark_name: str, profile, cache):
     """One paper grid, resolved through the SweepSpec API."""
     spec = (SweepSpec.multiprogramming(profile=profile)
             if benchmark_name == "multiprogramming"
@@ -72,22 +72,22 @@ def grid_sweep(benchmark_name: str, profile, cache):
 
 @pytest.fixture(scope="session")
 def barnes_sweep(profile, cache):
-    return grid_sweep("barnes-hut", profile, cache)
+    return paper_grid("barnes-hut", profile, cache)
 
 
 @pytest.fixture(scope="session")
 def mp3d_sweep(profile, cache):
-    return grid_sweep("mp3d", profile, cache)
+    return paper_grid("mp3d", profile, cache)
 
 
 @pytest.fixture(scope="session")
 def cholesky_sweep(profile, cache):
-    return grid_sweep("cholesky", profile, cache)
+    return paper_grid("cholesky", profile, cache)
 
 
 @pytest.fixture(scope="session")
 def multiprog_sweep(profile, cache):
-    return grid_sweep("multiprogramming", profile, cache)
+    return paper_grid("multiprogramming", profile, cache)
 
 
 def run_once(benchmark, func):

@@ -8,12 +8,12 @@ SCC size; and medium-to-large SCCs gain the most from sharing.
 from repro.core.config import KB
 from repro.experiments import normalized_execution_times, render_figure
 
-from conftest import grid_sweep, run_once
+from conftest import paper_grid, run_once
 
 
 def test_figure2_barnes_hut(benchmark, profile, cache, barnes_sweep,
                             save_report, save_figure):
-    sweep = run_once(benchmark, lambda: grid_sweep(
+    sweep = run_once(benchmark, lambda: paper_grid(
         "barnes-hut", profile, cache))
     save_report("figure2_barnes_hut", render_figure("barnes-hut", sweep))
 

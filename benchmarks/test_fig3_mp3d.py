@@ -11,11 +11,11 @@ from repro.core.config import KB
 from repro.experiments import (PAPER_MP3D_SPEEDUPS, invalidation_series,
                                render_figure, self_relative_speedup)
 
-from conftest import grid_sweep, run_once
+from conftest import paper_grid, run_once
 
 
 def test_figure3_mp3d(benchmark, profile, cache, mp3d_sweep, save_report, save_figure):
-    sweep = run_once(benchmark, lambda: grid_sweep(
+    sweep = run_once(benchmark, lambda: paper_grid(
         "mp3d", profile, cache))
     report = render_figure("mp3d", sweep)
     small = self_relative_speedup(sweep, 4 * KB)

@@ -12,12 +12,12 @@ from repro.experiments import (PAPER_CHOLESKY_SPEEDUPS, invalidation_series,
                                read_miss_rate_table, render_figure,
                                self_relative_speedup)
 
-from conftest import grid_sweep, run_once
+from conftest import paper_grid, run_once
 
 
 def test_figure4_cholesky(benchmark, profile, cache, cholesky_sweep,
                           save_report, save_figure):
-    sweep = run_once(benchmark, lambda: grid_sweep(
+    sweep = run_once(benchmark, lambda: paper_grid(
         "cholesky", profile, cache))
     report = render_figure("cholesky", sweep)
     small = self_relative_speedup(sweep, 4 * KB)

@@ -10,12 +10,12 @@ from repro.core.config import KB
 from repro.experiments import (figure5_curves, render_figure5,
                                smallest_to_largest_improvement)
 
-from conftest import grid_sweep, run_once
+from conftest import paper_grid, run_once
 
 
 def test_figure5_multiprogramming(benchmark, profile, cache,
                                   multiprog_sweep, save_report, save_figure):
-    sweep = run_once(benchmark, lambda: grid_sweep(
+    sweep = run_once(benchmark, lambda: paper_grid(
         "multiprogramming", profile, cache))
     improvement8 = smallest_to_largest_improvement(sweep, procs=8)
     improvement1 = smallest_to_largest_improvement(sweep, procs=1)

@@ -9,13 +9,13 @@ from repro.core.config import KB
 from repro.experiments import (degradation_factor, figure6_speedups,
                                render_figure6)
 
-from conftest import grid_sweep, run_once
+from conftest import paper_grid, run_once
 
 
 def test_figure6_multiprogramming_speedups(benchmark, profile, cache,
                                            multiprog_sweep, save_report,
                                            save_figure):
-    sweep = run_once(benchmark, lambda: grid_sweep(
+    sweep = run_once(benchmark, lambda: paper_grid(
         "multiprogramming", profile, cache))
     report = render_figure6(sweep)
     deg_small = degradation_factor(sweep, 8 * KB)

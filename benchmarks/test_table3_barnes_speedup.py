@@ -10,12 +10,12 @@ from repro.core.config import KB
 from repro.experiments import (PAPER_TABLE3, render_speedups,
                                speedup_table)
 
-from conftest import grid_sweep, run_once
+from conftest import paper_grid, run_once
 
 
 def test_table3_barnes_speedups(benchmark, profile, cache, barnes_sweep,
                                 save_report):
-    sweep = run_once(benchmark, lambda: grid_sweep(
+    sweep = run_once(benchmark, lambda: paper_grid(
         "barnes-hut", profile, cache))
     save_report("table3_barnes_speedups",
                 render_speedups("barnes-hut", sweep, PAPER_TABLE3))

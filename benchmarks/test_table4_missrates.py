@@ -10,12 +10,12 @@ from repro.core.config import KB
 from repro.experiments import (PAPER_TABLE4, invalidation_series,
                                read_miss_rate_table, render_miss_rates)
 
-from conftest import grid_sweep, run_once
+from conftest import paper_grid, run_once
 
 
 def test_table4_read_miss_rates(benchmark, profile, cache, barnes_sweep,
                                 save_report):
-    sweep = run_once(benchmark, lambda: grid_sweep(
+    sweep = run_once(benchmark, lambda: paper_grid(
         "barnes-hut", profile, cache))
     save_report("table4_barnes_missrates",
                 render_miss_rates("barnes-hut", sweep, PAPER_TABLE4))

@@ -9,7 +9,7 @@ from repro.core.config import KB
 from repro.cost.costperf import (cost_performance_gain, single_chip_table)
 from repro.experiments import render_table6, surfaces_from_sweeps
 
-from conftest import grid_sweep, run_once
+from conftest import paper_grid, run_once
 
 
 def test_table6_single_chip(benchmark, profile, cache, barnes_sweep,
@@ -17,7 +17,7 @@ def test_table6_single_chip(benchmark, profile, cache, barnes_sweep,
                             save_report):
     def build():
         return {
-            name: grid_sweep(name, profile, cache)
+            name: paper_grid(name, profile, cache)
             for name in ("barnes-hut", "mp3d", "cholesky",
                          "multiprogramming")
         }

@@ -10,14 +10,14 @@ from repro.core.config import KB
 from repro.cost.costperf import mcm_table
 from repro.experiments import render_table7, surfaces_from_sweeps
 
-from conftest import grid_sweep, run_once
+from conftest import paper_grid, run_once
 
 
 def test_table7_mcm(benchmark, profile, cache, barnes_sweep, mp3d_sweep,
                     cholesky_sweep, multiprog_sweep, save_report):
     def build():
         return {
-            name: grid_sweep(name, profile, cache)
+            name: paper_grid(name, profile, cache)
             for name in ("barnes-hut", "mp3d", "cholesky",
                          "multiprogramming")
         }

@@ -3,7 +3,7 @@
 Runs a quick multiprogramming grid three ways and shows they agree
 point for point:
 
-1. plainly in this process (``grid_sweep``);
+1. plainly in this process (``run_sweep``);
 2. through a :class:`repro.fabric.LocalFabric` -- broker, leases,
    heartbeats, workers, store, all in-process, no sockets;
 3. through the real asyncio HTTP service with a ``SweepClient``,
@@ -17,7 +17,7 @@ Usage::
 
 import threading
 
-from repro.api import KB, PROFILES, SweepClient, SweepSpec, grid_sweep
+from repro.api import KB, PROFILES, SweepClient, SweepSpec, run_sweep
 from repro.fabric import (ArtifactStore, Broker, LocalFabric, Worker,
                           start_in_thread)
 
@@ -28,14 +28,14 @@ def main() -> None:
         procs=(1, 2), instrument=False)
 
     print("1. locally, no fabric...")
-    local = grid_sweep(spec, cache=None)
+    local = run_sweep(spec, cache=None)
 
     print("2. through an in-process fabric (leases, workers, store)...")
     with LocalFabric(workers=2) as fabric:
         via_fabric = fabric.client.result(fabric.client.submit(spec))
     assert {p: s.as_dict() for p, s in via_fabric.items()} == \
            {p: s.as_dict() for p, s in local.items()}
-    print("   ...point-for-point identical to grid_sweep")
+    print("   ...point-for-point identical to run_sweep")
 
     print("3. through the HTTP service...")
     broker = Broker(ArtifactStore.in_memory())

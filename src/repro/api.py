@@ -6,15 +6,14 @@ internal and may move between minor versions.  The surface is small on
 purpose:
 
 * describe an experiment: :class:`SweepSpec` (one validated value
-  object covering the paper's parallel, multiprogramming and
-  miss-surface sweeps), sized by an :class:`ExperimentProfile` from
-  :data:`PROFILES`;
-* run it locally: :func:`grid_sweep` for the design-space grids (or
-  :class:`SweepSession` to drive journaling/resume/progress yourself;
-  :func:`run_sweep` additionally accepts miss-surface specs);
+  object covering the paper's parallel and multiprogramming grids,
+  with ``fidelity`` as its one resolution-tier knob), sized by an
+  :class:`ExperimentProfile` from :data:`PROFILES`;
+* run it locally: :func:`run_sweep` (or :class:`SweepSession` to drive
+  journaling/resume/progress yourself);
 * run it on the fabric: :class:`SweepClient` against
   ``python -m repro serve`` (or an in-process :class:`LocalFabric`) --
-  ``client.result(client.submit(spec))`` equals ``grid_sweep(spec)``
+  ``client.result(client.submit(spec))`` equals ``run_sweep(spec)``
   point for point, served from the same content-addressed store;
 * search the design space: :func:`optimize` a :class:`DesignSpace`
   through a :class:`FunnelEvaluator` (locally or through a
@@ -24,10 +23,10 @@ purpose:
 
 Example::
 
-    from repro.api import PROFILES, SweepClient, SweepSpec, grid_sweep
+    from repro.api import PROFILES, SweepClient, SweepSpec, run_sweep
 
     spec = SweepSpec.parallel("mp3d", profile=PROFILES["quick"])
-    local = grid_sweep(spec)                         # in this process
+    local = run_sweep(spec)                          # in this process
     client = SweepClient.connect("http://127.0.0.1:8765")
     remote = client.result(client.submit(spec))      # on the fabric
     assert {p: s.as_dict() for p, s in local.items()} == \
@@ -40,7 +39,7 @@ from .core.config import KB, SystemConfig
 from .experiments.runner import (PROFILES, ExperimentProfile, ResultCache,
                                  RunStats, active_profile)
 from .experiments.session import (QuarantinedPointError, SweepSession,
-                                  grid_sweep, run_sweep)
+                                  run_sweep)
 from .experiments.spec import SweepSpec
 from .fabric.client import (JobHandle, LocalFabric, SweepClient)
 from .fabric.store import ArtifactStore
@@ -55,7 +54,7 @@ __all__ = [
     "ExperimentProfile", "PROFILES", "SweepSpec", "active_profile",
     # run locally
     "QuarantinedPointError", "ResultCache", "RunStats", "SweepSession",
-    "grid_sweep", "run_sweep",
+    "run_sweep",
     # run on the fabric
     "ArtifactStore", "FabricError", "JobHandle", "LocalFabric",
     "SweepClient",

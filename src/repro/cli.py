@@ -129,9 +129,6 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
                         help="skip the per-point observability digest "
                              "(keeps simulations on the packed fast "
                              "path)")
-    parser.add_argument("--no-fused", action="store_true",
-                        help="disable the one-pass multi-configuration "
-                             "ladder engine")
     parser.add_argument("--fidelity", default="fused",
                         choices=("analytical", "fused", "full"),
                         help="resolution tier: analytical prices every "
@@ -890,68 +887,50 @@ def _bench_sweep(repeat: int, backend: Optional[str] = None) -> dict:
 
 
 def _bench_fused(repeat: int, backend: Optional[str] = None) -> dict:
-    """The quick multiprogramming ladder with a warm trace cache, two
-    ways: one replay per rung (``fused=False``) versus the one-pass
-    multi-configuration engine (:mod:`repro.trace.multiconfig`).  Both
-    start from the same recorded tape and produce bit-identical
-    RunStats (asserted here); only wall-clock differs.  Both modes run
-    on the same requested backend, so with the default ``auto`` on a
-    machine with a compiler this is the compiled ladder versus native
-    per-size replay.
+    """The quick multiprogramming one-processor ladder, replayed from
+    one recorded tape two ways: one ``run_simulation`` of a
+    :class:`~repro.trace.record.ReplayApplication` per rung versus one
+    pass of the multi-configuration engine
+    (:mod:`repro.trace.multiconfig`).  Both produce bit-identical
+    RunStats (asserted here); only wall-clock differs.  Both run on the
+    same requested backend, so with the default ``auto`` on a machine
+    with a compiler this is the compiled ladder versus native per-size
+    replay.
     """
-    import shutil
-    import tempfile
     import time
-    from pathlib import Path
-    from .experiments.runner import PAPER_LADDER, PROFILES, ResultCache
-    from .experiments.session import run_sweep
+    from .experiments.runner import PROFILES, _stats_from_result
     from .experiments.spec import SweepSpec
     from .trace.engine import backend_info
     from .trace.multiconfig import fused_ladder_results
-    from .trace.record import TraceCache
+    from .trace.record import ReplayApplication, StreamRecorder
     profile = PROFILES["quick"]
-    ladder = PAPER_LADDER
-    procs = (1,)
-    scratch = Path(tempfile.mkdtemp(prefix="repro-bench-"))
-    timings = {False: [], True: []}
-    try:
-        trace_cache = TraceCache(scratch / "traces")
-        specs = {fused: SweepSpec.from_cli_args(
-                     argparse.Namespace(), benchmark="multiprogramming",
-                     profile=profile, ladder=ladder, procs=procs,
-                     instrument=False, fused=fused, backend=backend)
-                 for fused in (False, True)}
-        # Record the row's tape once so both modes run trace-warm.
-        reference = run_sweep(specs[False],
-                              cache=ResultCache(scratch / "warmup"),
-                              trace_cache=trace_cache)
-        for index in range(max(1, repeat)):
-            for fused in (False, True):
-                begin = time.perf_counter()
-                sweep = run_sweep(
-                    specs[fused],
-                    cache=ResultCache(scratch / f"results-{fused}-{index}"),
-                    trace_cache=trace_cache)
-                timings[fused].append(time.perf_counter() - begin)
-                if sweep != reference:
-                    raise AssertionError(
-                        "fused and per-size ladder results diverge")
-        # One more pass over the row's recorded tape names the ladder
-        # engine the fused sweeps ran on.
-        configs = list(specs[True].configs().values())
-        streams = trace_cache.get(profile.workload(
-            "multiprogramming").trace_signature(configs[0]))
-        ladder_engine = fused_ladder_results(configs, streams,
-                                             backend=backend)[0].engine
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-    per_size_s = min(timings[False])
-    fused_s = min(timings[True])
+    spec = SweepSpec.multiprogramming(profile=profile, procs=(1,),
+                                      instrument=False)
+    configs = [config for _, config in sorted(spec.configs().items())]
+    recorder = StreamRecorder(profile.workload("multiprogramming"))
+    run_simulation(configs[0], recorder, backend=backend)
+    streams = recorder.streams
+    timings = {"per_size": [], "fused": []}
+    for _ in range(max(1, repeat)):
+        begin = time.perf_counter()
+        per_size = [run_simulation(config, ReplayApplication(streams),
+                                   backend=backend)
+                    for config in configs]
+        timings["per_size"].append(time.perf_counter() - begin)
+        begin = time.perf_counter()
+        fused = fused_ladder_results(configs, streams, backend=backend)
+        timings["fused"].append(time.perf_counter() - begin)
+        if ([_stats_from_result(result) for result in fused]
+                != [_stats_from_result(result) for result in per_size]):
+            raise AssertionError("fused and per-size ladder results "
+                                 "diverge")
+    per_size_s = min(timings["per_size"])
+    fused_s = min(timings["fused"])
     return {
-        "grid": f"multiprogramming quick, ladder={sorted(ladder)}, "
-                f"procs={list(procs)}, warm trace cache",
+        "grid": f"multiprogramming quick, ladder={sorted(spec.ladder)}, "
+                f"procs=[1], one recorded tape",
         "engine": backend_info(backend),
-        "ladder_engine": ladder_engine,
+        "ladder_engine": fused[0].engine,
         "per_size_warm_s": round(per_size_s, 4),
         "fused_warm_s": round(fused_s, 4),
         "speedup": round(per_size_s / fused_s, 2),
@@ -1108,7 +1087,7 @@ def _cmd_bench(args) -> int:
               f"({sweep['speedup_warm']:.2f}x)")
     if args.scenario in ("all", "fused"):
         print("timing fused multi-configuration ladder "
-              "(one pass vs per-size replay, warm trace cache)...")
+              "(one pass vs per-size replay of one tape)...")
         report["fused_ladder"] = fused = _bench_fused(args.repeat,
                                                       args.backend)
         print(f"  per-size (warm) : {fused['per_size_warm_s']:.3f} s "

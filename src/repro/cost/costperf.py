@@ -84,7 +84,7 @@ def surface_from_results(results: Mapping[Tuple[int, int], object]
     """Execution-time surface from sweep results.
 
     ``results`` is a ``{(procs_per_cluster, paper_scc_bytes): RunStats}``
-    mapping as returned by ``grid_sweep``/``SweepClient.result`` (plain
+    mapping as returned by ``run_sweep``/``SweepClient.result`` (plain
     cycle counts also pass through) -- the adapter the optimizer uses to
     feed candidate evaluations straight into this module.
     """

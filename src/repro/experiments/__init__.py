@@ -12,10 +12,10 @@ from .parallel import (PAPER_CHOLESKY_SPEEDUPS, PAPER_MP3D_SPEEDUPS,
 from .report import format_size, render_ascii_chart, render_table
 from .runner import (CACHE_VERSION, PAPER_LADDER, PROCS_SWEPT, PROFILES,
                      ExperimentProfile, ResultCache, RunStats,
-                     active_profile, default_cache, run_point)
+                     active_profile, default_cache)
 from .session import (QuarantinedPointError, SessionJournal,
                       SessionResult, SweepSession, default_session_dir,
-                      grid_sweep, prune_stale_journals, run_sweep)
+                      prune_stale_journals, run_sweep)
 from .spec import KNOWN_BENCHMARKS, SweepSpec, point_cache_key
 from .svgfig import render_svg_chart, save_svg_chart
 from .tables import (PAPER_TABLE6, PAPER_TABLE7, render_section4_costs,
@@ -33,11 +33,11 @@ __all__ = [
     "render_svg_chart", "save_svg_chart",
     "CACHE_VERSION", "PAPER_LADDER", "PROCS_SWEPT", "PROFILES",
     "ExperimentProfile", "ResultCache", "RunStats", "active_profile",
-    "default_cache", "run_point",
+    "default_cache",
     "KNOWN_BENCHMARKS", "SweepSpec", "point_cache_key",
     "QuarantinedPointError", "SessionJournal", "SessionResult",
-    "SweepSession", "default_session_dir", "grid_sweep",
-    "prune_stale_journals", "run_sweep",
+    "SweepSession", "default_session_dir", "prune_stale_journals",
+    "run_sweep",
     "PAPER_TABLE6", "PAPER_TABLE7", "render_section4_costs",
     "render_table5", "render_table6", "render_table7",
     "surfaces_from_sweeps",

@@ -1,4 +1,4 @@
-"""Sweep driver and result cache for the reproduction experiments.
+"""Result cache, point simulation and worker pool for the experiments.
 
 Every figure and table in the paper is a view over one of two sweeps:
 
@@ -34,21 +34,17 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..core.config import KB, SystemConfig
+from ..core.config import SystemConfig
 from ..instrument import InstrumentationProbe
 from ..simulation import run_simulation
-from ..trace.multiconfig import (fused_ladder_results,
-                                 fused_ladder_supported)
-from ..trace.record import ReplayApplication, StreamRecorder, TraceCache
 from .spec import (CACHE_VERSION, PAPER_LADDER, PROCS_SWEPT, PROFILES,
-                   ExperimentProfile, GridPoint, active_profile,
-                   point_cache_key)
+                   ExperimentProfile, active_profile)
 
 __all__ = ["RunStats", "ExperimentProfile", "PROFILES", "active_profile",
-           "ResultCache", "default_cache", "run_point", "PAPER_LADDER",
-           "PROCS_SWEPT", "CACHE_VERSION"]
+           "ResultCache", "default_cache", "PAPER_LADDER", "PROCS_SWEPT",
+           "CACHE_VERSION"]
 
 _LOG = logging.getLogger(__name__)
 
@@ -155,13 +151,6 @@ def default_cache() -> ResultCache:
 # Point simulation
 # ----------------------------------------------------------------------
 
-def _stats_key(benchmark: str, profile: ExperimentProfile,
-               config: SystemConfig, instrument: bool = True) -> str:
-    """Back-compat alias for
-    :func:`repro.experiments.spec.point_cache_key`."""
-    return point_cache_key(benchmark, profile, config, instrument)
-
-
 def _stats_from_result(result, probe=None) -> RunStats:
     """Reduce a :class:`~repro.simulation.SimulationResult` to RunStats."""
     total = result.stats.total_scc
@@ -179,31 +168,21 @@ def _stats_from_result(result, probe=None) -> RunStats:
 
 def _simulate(application, config: SystemConfig, instrument: bool,
               backend: Optional[str] = None) -> RunStats:
-    """One simulation of any workload object, reduced to RunStats."""
+    """One simulation of any workload object, reduced to RunStats.
+
+    With ``instrument`` the run carries summary-only instrumentation
+    and its observability digest rides along in the cached payload.
+    ``instrument=False`` drops the digest and keeps the simulation on
+    the interleaver's packed fast path (an attached probe forces the
+    event-at-a-time path), which is what the benchmark harness
+    measures.
+    """
     probe = (InstrumentationProbe(bin_width=INSTRUMENT_BIN_WIDTH,
                                   record_events=False)
              if instrument else None)
     result = run_simulation(config, application, instrumentation=probe,
                             backend=backend)
     return _stats_from_result(result, probe)
-
-
-def _compute_point(benchmark: str, profile: ExperimentProfile,
-                   config: SystemConfig,
-                   instrument: bool = True,
-                   backend: Optional[str] = None) -> RunStats:
-    """Actually simulate one configuration (no cache involved).
-
-    Module-level (not nested) so ``ProcessPoolExecutor`` can pickle it
-    for ``--jobs`` parallel sweeps.  By default every point runs with
-    summary-only instrumentation: the observability digest rides along
-    in the cached payload.  ``instrument=False`` drops the digest and
-    keeps the simulation on the interleaver's packed fast path (an
-    attached probe forces the event-at-a-time path), which is what the
-    benchmark harness measures.
-    """
-    return _simulate(profile.workload(benchmark), config, instrument,
-                     backend)
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +206,12 @@ def _compute_point_pooled(benchmark: str, profile: ExperimentProfile,
                           config: SystemConfig,
                           instrument: bool = True,
                           backend: Optional[str] = None) -> RunStats:
-    """`_compute_point` with a warm per-worker workload object."""
+    """Simulate one configuration (no cache involved) with a warm
+    per-process workload object.
+
+    Module-level (not nested) so ``ProcessPoolExecutor`` can pickle it
+    for ``--jobs`` parallel sweeps.
+    """
     key = (benchmark, profile)
     workload = _WORKER_WORKLOADS.get(key)
     if workload is None:
@@ -342,97 +326,6 @@ def _install_exit_hooks() -> None:
             pass
 
 
-def run_point(benchmark: str, profile: ExperimentProfile,
-              config: SystemConfig,
-              cache: Optional[ResultCache] = None,
-              instrument: bool = True) -> RunStats:
-    """Simulate one configuration (or fetch it from the cache)."""
-    key = _stats_key(benchmark, profile, config, instrument)
-    if cache is not None:
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-    stats = _compute_point(benchmark, profile, config, instrument)
-    if cache is not None:
-        cache.put(key, stats)
-    return stats
-
-
 Sweep = Dict[Tuple[int, int], RunStats]
 """(processors per cluster, paper SCC bytes) -> stats."""
 
-
-def _resolve_via_traces(benchmark: str, profile: ExperimentProfile,
-                        configs: Dict[GridPoint, SystemConfig],
-                        missing: List[GridPoint], sweep: Sweep,
-                        cache: Optional[ResultCache],
-                        instrument: bool,
-                        trace_cache: Optional[TraceCache],
-                        fused: bool = True,
-                        backend: Optional[str] = None) -> List[GridPoint]:
-    """Record-once/replay-everywhere for the grid rows that allow it.
-
-    A row is all missing points with the same processor count (the
-    ladder rungs); its per-process streams are identical across the row
-    exactly when :meth:`~repro.workloads.base.TracedApplication
-    .stream_is_deterministic` holds there, and the recording is keyed by
-    :meth:`~repro.workloads.base.TracedApplication.trace_signature`.
-    Rows that fail either guard are returned for normal simulation.
-
-    When a row's remaining rungs form a fused-replayable ladder
-    (uninstrumented single-process row whose configurations differ only
-    in SCC size -- :func:`~repro.trace.multiconfig.fused_ladder_supported`),
-    the whole row is resolved by *one* pass of the multi-configuration
-    engine instead of one replay per rung; the results are bit-identical
-    by construction (pinned by ``tests/equivalence``).  Multi-process
-    rows never qualify and keep the per-rung replay automatically.
-    """
-    by_row: Dict[int, List[GridPoint]] = {}
-    for point in missing:
-        by_row.setdefault(point[0], []).append(point)
-    remainder: List[GridPoint] = []
-    resolved: Dict[GridPoint, RunStats] = {}
-    for row_points in by_row.values():
-        row_points = sorted(row_points)
-        probe_workload = profile.workload(benchmark)
-        config0 = configs[row_points[0]]
-        signature = probe_workload.trace_signature(config0)
-        if (signature is None
-                or not probe_workload.stream_is_deterministic(config0)):
-            remainder.extend(row_points)
-            continue
-        tcache = trace_cache if trace_cache is not None else TraceCache()
-        streams = tcache.get(signature)
-        if streams is None:
-            # Record the row's stream while computing its first point.
-            point = row_points.pop(0)
-            recorder = StreamRecorder(profile.workload(benchmark))
-            resolved[point] = _simulate(recorder, configs[point],
-                                        instrument, backend)
-            streams = recorder.streams
-            if streams is not None:
-                tcache.put(signature, streams)
-        if streams is None:
-            remainder.extend(row_points)
-            continue
-        if (fused and not instrument and len(row_points) > 1
-                and set(streams) == {0}):
-            row_configs = [configs[point] for point in row_points]
-            if fused_ladder_supported(row_configs):
-                for point, result in zip(
-                        row_points,
-                        fused_ladder_results(row_configs, streams,
-                                             backend=backend)):
-                    resolved[point] = _stats_from_result(result)
-                continue
-        for point in row_points:
-            replay = ReplayApplication(streams, name=benchmark)
-            resolved[point] = _simulate(replay, configs[point],
-                                        instrument, backend)
-    for point, stats in resolved.items():
-        if cache is not None:
-            cache.put(_stats_key(benchmark, profile, configs[point],
-                                 instrument),
-                      stats)
-        sweep[point] = stats
-    return remainder

@@ -41,16 +41,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from ..core.config import SystemConfig
 from ..instrument.registry import MetricsRegistry
-from ..trace.record import TraceCache
+from ..trace.multiconfig import fused_ladder_results, fused_ladder_supported
+from ..trace.record import ReplayApplication, StreamRecorder, TraceCache
 from .runner import (ResultCache, RunStats, Sweep, _compute_point_pooled,
-                     _resolve_via_traces, _shutdown_pool, _worker_pool,
-                     default_cache)
+                     _shutdown_pool, _simulate, _stats_from_result,
+                     _worker_pool, default_cache)
 from .spec import GridPoint, SweepSpec, point_cache_key
 
 __all__ = ["SweepSession", "SessionResult", "SessionJournal",
-           "run_sweep", "grid_sweep", "QuarantinedPointError",
+           "run_sweep", "QuarantinedPointError",
            "default_session_dir", "prune_stale_journals",
            "FAULT_INJECT_ENV"]
 
@@ -228,9 +228,15 @@ class SessionJournal:
             return False
         try:
             payload = json.loads(path.read_text())
-        except (FileNotFoundError, OSError):
+            if not isinstance(payload, dict):
+                raise ValueError("not a JSON object")
+            points = payload.get("points")
+            if isinstance(points, dict) and not all(
+                    isinstance(entry, dict) for entry in points.values()):
+                raise ValueError("a point entry is not a JSON object")
+        except OSError:
             return False
-        except (json.JSONDecodeError, ValueError) as exc:
+        except ValueError as exc:   # json.JSONDecodeError included
             _LOG.warning("discarding corrupt sweep journal %s (%s)",
                          path, exc)
             self._unlink()
@@ -341,9 +347,6 @@ class SweepSession:
                  resume: bool = False,
                  progress: Optional[Callable] = None,
                  compute: Optional[Callable] = None):
-        if spec.kind == "miss-surface":
-            raise ValueError("miss-surface sweeps have no point grid; "
-                             "use run_sweep(spec)")
         self.spec = spec
         self.cache: Optional[ResultCache] = (
             default_cache() if cache is _DEFAULT_CACHE else cache)
@@ -444,10 +447,7 @@ class SweepSession:
         # (fidelity="full" insists on per-point simulation instead).
         if missing and spec.fidelity != "full":
             before = set(sweep)
-            missing = _resolve_via_traces(
-                spec.benchmark, spec.profile, self._configs, missing,
-                sweep, self.cache, spec.instrument, self.trace_cache,
-                spec.fused, spec.backend)
+            missing = self._resolve_via_traces(missing, sweep)
             for point in sorted(set(sweep) - before):
                 self._settle(point, "replayed", sweep[point])
 
@@ -481,8 +481,6 @@ class SweepSession:
         """
         from ..model.predictor import predict_point
         from ..model.profile import ProfileCache, build_row_profile
-        from ..trace.record import StreamRecorder
-        from .runner import _simulate
         spec = self.spec
         by_row: Dict[int, List[GridPoint]] = {}
         for point in missing:
@@ -494,12 +492,6 @@ class SweepSession:
         for procs, row_points in sorted(by_row.items()):
             row_points = sorted(row_points)
             config0 = self._configs[(procs, min(spec.ladder))]
-            if spec.analytical_refused(config0):
-                # strict_parallel: the surrogate is known-bad on
-                # multi-processor parallel rows; hand the whole row to
-                # the exact tiers below instead of predicting it.
-                remainder.extend(row_points)
-                continue
             tracked = tuple(sorted({
                 self._configs[(procs, paper_bytes)].scc_lines
                 for paper_bytes in spec.ladder}))
@@ -558,13 +550,90 @@ class SweepSession:
             self.registry.count(f"session.profiles.{profile_source}")
             for point in row_points:
                 stats = predict_point(row_profile, self._configs[point],
-                                      benchmark=spec.benchmark,
-                                      strict_parallel=spec.strict_parallel)
+                                      benchmark=spec.benchmark)
                 if self.cache is not None:
                     self.cache.put(spec.point_key(self._configs[point]),
                                    stats)
                 sweep[point] = stats
                 self._settle(point, "analytical", stats)
+        return remainder
+
+    def _resolve_via_traces(self, missing: List[GridPoint],
+                            sweep: Sweep) -> List[GridPoint]:
+        """Stage 2: record once, replay everywhere, for the rows that
+        allow it.
+
+        A row is all missing points with the same processor count (the
+        ladder rungs); its per-process streams are identical across the
+        row exactly when :meth:`~repro.workloads.base.TracedApplication
+        .stream_is_deterministic` holds there, and the recording is
+        keyed by :meth:`~repro.workloads.base.TracedApplication
+        .trace_signature`.  Rows that fail either guard are returned
+        for normal simulation.
+
+        When a row's remaining rungs form a fused-replayable ladder
+        (uninstrumented single-process row whose configurations differ
+        only in SCC size --
+        :func:`~repro.trace.multiconfig.fused_ladder_supported`), the
+        whole row is resolved by *one* pass of the multi-configuration
+        engine instead of one replay per rung; the results are
+        bit-identical by construction (pinned by ``tests/equivalence``).
+        Multi-process rows never qualify and keep the per-rung replay.
+        """
+        spec = self.spec
+        by_row: Dict[int, List[GridPoint]] = {}
+        for point in missing:
+            by_row.setdefault(point[0], []).append(point)
+        remainder: List[GridPoint] = []
+        resolved: Dict[GridPoint, RunStats] = {}
+        for row_points in by_row.values():
+            row_points = sorted(row_points)
+            probe_workload = spec.profile.workload(spec.benchmark)
+            config0 = self._configs[row_points[0]]
+            signature = probe_workload.trace_signature(config0)
+            if (signature is None
+                    or not probe_workload.stream_is_deterministic(config0)):
+                remainder.extend(row_points)
+                continue
+            trace_cache = (self.trace_cache if self.trace_cache is not None
+                           else TraceCache())
+            streams = trace_cache.get(signature)
+            if streams is None:
+                # Record the row's stream while computing its first point.
+                point = row_points.pop(0)
+                recorder = StreamRecorder(
+                    spec.profile.workload(spec.benchmark))
+                resolved[point] = _simulate(recorder, self._configs[point],
+                                            spec.instrument, spec.backend)
+                streams = recorder.streams
+                if streams is not None:
+                    trace_cache.put(signature, streams)
+            if streams is None:
+                remainder.extend(row_points)
+                continue
+            if (not spec.instrument and len(row_points) > 1
+                    and set(streams) == {0}):
+                row_configs = [self._configs[point] for point in row_points]
+                if fused_ladder_supported(row_configs):
+                    for point, result in zip(
+                            row_points,
+                            fused_ladder_results(row_configs, streams,
+                                                 backend=spec.backend)):
+                        resolved[point] = _stats_from_result(result)
+                    continue
+            for point in row_points:
+                replay = ReplayApplication(streams, name=spec.benchmark)
+                resolved[point] = _simulate(replay, self._configs[point],
+                                            spec.instrument, spec.backend)
+        for point, stats in resolved.items():
+            if self.cache is not None:
+                # Replays are exact, so even an analytical spec banks
+                # them under the exact key.
+                self.cache.put(point_cache_key(spec.benchmark, spec.profile,
+                                               self._configs[point],
+                                               spec.instrument),
+                               stats)
+            sweep[point] = stats
         return remainder
 
     def _heal_cache(self, point: GridPoint, stats: RunStats) -> None:
@@ -718,65 +787,24 @@ class SweepSession:
         return computed, quarantined
 
 
-def _run_miss_surface(spec: SweepSpec,
-                      trace_cache: Optional[TraceCache]):
-    """Content-only per-process miss surface of one parallel-grid row
-    (see :func:`repro.trace.multiconfig.per_process_miss_surface`)."""
-    from ..simulation import run_simulation
-    from ..trace.multiconfig import per_process_miss_surface
-    from ..trace.record import StreamRecorder
-    profile = spec.profile
-    ladder = spec.ladder
-    procs_per_cluster = spec.procs[0]
-    sizes = tuple(paper_bytes // profile.ladder_scale
-                  for paper_bytes in ladder)
-    config = SystemConfig.paper_parallel(procs_per_cluster, sizes[0])
-    workload = profile.workload(spec.benchmark)
-    # Only a configuration-independent tape may live in the shared trace
-    # cache (its key does not cover scc_size); otherwise record ad hoc.
-    signature = (workload.trace_signature(config)
-                 if workload.stream_is_deterministic(config) else None)
-    streams = None
-    if signature is not None and trace_cache is not None:
-        streams = trace_cache.get(signature)
-    if streams is None:
-        recorder = StreamRecorder(workload)
-        run_simulation(config, recorder, backend=spec.backend)
-        streams = recorder.streams
-        if streams is None:
-            raise ValueError(
-                f"{spec.benchmark!r} did not produce a recordable packed "
-                f"stream on {procs_per_cluster} processors per cluster")
-        if signature is not None and trace_cache is not None:
-            trace_cache.put(signature, streams)
-    surface = per_process_miss_surface(config, sizes, streams)
-    by_paper = {}
-    for proc, row in surface.items():
-        by_paper[proc] = {paper_bytes: row[size]
-                          for paper_bytes, size in zip(ladder, sizes)}
-    return by_paper
-
-
 def run_sweep(spec: SweepSpec,
               cache=_DEFAULT_CACHE,
               trace_cache: Optional[TraceCache] = None,
               session_dir: Optional[Path] = None,
               resume: bool = False,
               progress: Optional[Callable] = None):
-    """Resolve one :class:`SweepSpec` and return its results.
+    """Resolve one :class:`SweepSpec` locally:
+    ``{(procs, paper_bytes): RunStats}``.
 
-    Grid sweeps return ``{(procs, paper_bytes): RunStats}``;
-    miss-surface sweeps return
-    ``{process: {paper_bytes: MissSurfacePoint}}``.  Pass a
+    The same mapping a :class:`~repro.fabric.client.SweepClient`
+    submission returns, so ``run_sweep(spec) ==
+    client.result(client.submit(spec))`` point for point.  Pass a
     ``session_dir`` to journal progress for crash-safe ``resume``;
-    without one the session is ephemeral (exactly the old sweeps'
-    behaviour).  If any point is quarantined the rest of the grid is
-    still resolved (and journaled) before
+    without one the session is ephemeral.  If any point is quarantined
+    the rest of the grid is still resolved (and journaled) before
     :class:`QuarantinedPointError` is raised; callers that want the
     partial grid instead should drive :class:`SweepSession` directly.
     """
-    if spec.kind == "miss-surface":
-        return _run_miss_surface(spec, trace_cache)
     session = SweepSession(spec, cache=cache, trace_cache=trace_cache,
                            session_dir=session_dir, resume=resume,
                            progress=progress)
@@ -785,20 +813,3 @@ def run_sweep(spec: SweepSpec,
         raise QuarantinedPointError(result.quarantined)
     return result.sweep
 
-
-def grid_sweep(spec: SweepSpec, **kwargs) -> Sweep:
-    """Resolve a *grid* spec locally: always
-    ``{(procs, paper_bytes): RunStats}``.
-
-    The blessed :mod:`repro.api` spelling of :func:`run_sweep` for the
-    paper's two-dimensional design-space grids -- the type a
-    :class:`~repro.fabric.client.SweepClient` submission returns, so
-    ``grid_sweep(spec) == client.result(client.submit(spec))`` point
-    for point.  Miss-surface specs (whose result shape differs) are
-    rejected; run those through :func:`run_sweep`.
-    """
-    if spec.kind == "miss-surface":
-        raise ValueError("grid_sweep() resolves point grids; "
-                         "miss-surface sweeps return per-process "
-                         "surfaces -- use run_sweep(spec)")
-    return run_sweep(spec, **kwargs)

@@ -2,10 +2,10 @@
 
 :class:`SweepSpec` is the single description of a design-space sweep:
 which workload, which processor counts, which SCC ladder, and how to
-run it (instrumentation, trace/fused policy, worker processes, retry
-budget).  The legacy entry points in :mod:`repro.experiments.runner`
-and the checkpointed :class:`~repro.experiments.session.SweepSession`
-both consume one of these instead of threading an ever-growing
+run it (instrumentation, resolution tier, worker processes, retry
+budget).  :func:`~repro.experiments.session.run_sweep`, the
+checkpointed :class:`~repro.experiments.session.SweepSession` and the
+fabric all consume one of these instead of threading an ever-growing
 keyword list through every layer.
 
 This module also owns the experiment profiles (workload sizings) and
@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Dict, Optional, Tuple
 
 from ..core.config import KB, SystemConfig
@@ -47,14 +47,13 @@ PROCS_SWEPT: Tuple[int, ...] = (1, 2, 4, 8)
 KNOWN_BENCHMARKS: Tuple[str, ...] = ("barnes-hut", "mp3d", "cholesky",
                                      "multiprogramming")
 
-SWEEP_KINDS: Tuple[str, ...] = ("parallel", "multiprogramming",
-                                "miss-surface")
+SWEEP_KINDS: Tuple[str, ...] = ("parallel", "multiprogramming")
 
 FIDELITIES: Tuple[str, ...] = ("analytical", "fused", "full")
 """Resolution tiers for a sweep: ``analytical`` prices every point from
 one recorded tape per row via :mod:`repro.model` (no simulation),
 ``fused`` (the default) allows the exact trace/fused-replay engines,
-``full`` forces per-point simulation."""
+``full`` forces per-point simulation.  This is the one tier knob."""
 
 CACHE_VERSION = 4
 """Bump to invalidate cached results after simulator changes.
@@ -64,6 +63,11 @@ CACHE_VERSION = 4
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
+
+
+def _is_int(value) -> bool:
+    """A real integer: ``True``/``False`` and floats do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,15 @@ class ExperimentProfile:
     cholesky_n: int
     multiprog_instructions: int
     multiprog_quantum: int
+
+    def __post_init__(self) -> None:
+        _require(isinstance(self.name, str),
+                 "profile name must be a string")
+        for field in fields(self)[1:]:
+            value = getattr(self, field.name)
+            _require(_is_int(value) and value >= 1,
+                     f"profile field {field.name} must be a positive "
+                     f"integer, not {value!r}")
 
     def scaled_ladder(self) -> Tuple[int, ...]:
         """Simulated SCC sizes standing in for the paper ladder."""
@@ -203,15 +216,14 @@ class SweepSpec:
     The identity half (``kind``, ``benchmark``, ``profile``, ``ladder``,
     ``procs``, ``instrument``) determines the results bit-for-bit and is
     digested by :meth:`signature`; the execution half (``jobs``,
-    ``fused``, ``max_attempts``, ``point_timeout``, ``retry_backoff``)
+    ``backend``, ``max_attempts``, ``point_timeout``, ``retry_backoff``)
     only controls *how* those results are obtained, so changing it never
     invalidates a session journal or the result cache.
     """
 
     kind: str
-    """``"parallel"`` (Section 3.1), ``"multiprogramming"``
-    (Section 3.2) or ``"miss-surface"`` (per-process content-only
-    ladder analysis)."""
+    """``"parallel"`` (Section 3.1) or ``"multiprogramming"``
+    (Section 3.2)."""
 
     benchmark: str
     profile: ExperimentProfile
@@ -221,13 +233,10 @@ class SweepSpec:
     divided by the profile's ladder scale."""
 
     procs: Tuple[int, ...] = PROCS_SWEPT
-    """Processors per cluster (miss-surface sweeps use exactly one)."""
+    """Processors per cluster."""
 
     instrument: bool = True
     """Attach the summary-only observability digest to every point."""
-
-    fused: bool = True
-    """Allow the one-pass multi-configuration ladder engine."""
 
     fidelity: str = "fused"
     """Resolution tier (see :data:`FIDELITIES`).  ``analytical`` is part
@@ -245,15 +254,6 @@ class SweepSpec:
     :meth:`describe` (when non-empty; preset sweeps keep their existing
     signatures) and in every :meth:`point_key` via the knob's cache-key
     component."""
-
-    strict_parallel: bool = False
-    """Analytical sweeps only: refuse the surrogate for multi-processor
-    *parallel* rows (where its error is known to be large, MAE ~ 0.09)
-    and resolve them through the exact trace/fused tiers instead.  The
-    optimizer sets this so tier-one triage never ranks candidates on
-    known-bad predictions.  Affects which rows are predictions, so it
-    is identity when set (refused rows use their exact, full-fidelity
-    point keys)."""
 
     backend: Optional[str] = None
     """Packed-replay engine for simulated points (``auto``/``python``/
@@ -302,22 +302,14 @@ class SweepSpec:
         _require(all(isinstance(count, int) and count >= 1
                      for count in self.procs),
                  "procs entries must be positive processor counts")
-        if self.kind == "miss-surface":
-            _require(len(self.procs) == 1,
-                     "miss-surface sweeps analyse exactly one row; "
-                     "pass procs=(n,)")
+        _require(isinstance(self.instrument, bool),
+                 "instrument must be True or False")
         _require(self.fidelity in FIDELITIES,
                  f"fidelity must be one of {FIDELITIES}")
         if self.fidelity == "analytical":
             _require(not self.instrument,
                      "analytical results carry no observability digest; "
                      "pass instrument=False")
-            _require(self.kind != "miss-surface",
-                     "miss-surface sweeps are already content-only "
-                     "analyses; fidelity does not apply")
-        _require(not self.strict_parallel or self.fidelity == "analytical",
-                 "strict_parallel gates the analytical surrogate; it has "
-                 "no meaning for exact fidelities")
         # Variants: canonicalize to sorted pairs with preset-valued
         # entries dropped, so equal machines always spell equal specs.
         defaults = SystemConfig()
@@ -337,9 +329,11 @@ class SweepSpec:
             from ..trace.engine import BACKEND_CHOICES
             _require(self.backend in BACKEND_CHOICES,
                      f"backend must be one of {BACKEND_CHOICES}")
-        _require(self.jobs is None or self.jobs >= 1,
-                 "jobs must be None or >= 1")
-        _require(self.max_attempts >= 1, "max_attempts must be >= 1")
+        _require(self.jobs is None
+                 or (_is_int(self.jobs) and self.jobs >= 1),
+                 "jobs must be None or an integer >= 1")
+        _require(_is_int(self.max_attempts) and self.max_attempts >= 1,
+                 "max_attempts must be an integer >= 1")
         _require(self.point_timeout is None or self.point_timeout > 0,
                  "point_timeout must be None or > 0")
         _require(self.retry_backoff >= 0, "retry_backoff must be >= 0")
@@ -371,18 +365,6 @@ class SweepSpec:
                    ladder=ladder or PAPER_LADDER, procs=procs, **knobs)
 
     @classmethod
-    def miss_surface(cls, benchmark: str,
-                     profile: Optional[ExperimentProfile] = None,
-                     procs_per_cluster: int = 4,
-                     ladder: Optional[Tuple[int, ...]] = None,
-                     **knobs) -> "SweepSpec":
-        """Per-process miss surface of one parallel-grid row."""
-        return cls(kind="miss-surface", benchmark=benchmark,
-                   profile=profile or active_profile(),
-                   ladder=ladder or PAPER_LADDER,
-                   procs=(procs_per_cluster,), **knobs)
-
-    @classmethod
     def from_cli_args(cls, args, **overrides) -> "SweepSpec":
         """The single CLI-namespace -> spec path.
 
@@ -412,8 +394,6 @@ class SweepSpec:
         fidelity = pick("fidelity") or "fused"
         instrument = overrides.pop(
             "instrument", not getattr(args, "no_instrument", False))
-        fused = overrides.pop(
-            "fused", not getattr(args, "no_fused", False))
         ladder = pick("ladder")
         procs = pick("procs")
         knobs = dict(
@@ -421,7 +401,6 @@ class SweepSpec:
             ladder=tuple(ladder) if ladder else None,
             procs=tuple(procs) if procs else PROCS_SWEPT,
             instrument=instrument and fidelity != "analytical",
-            fused=fused and fidelity != "full",
             fidelity=fidelity,
             backend=pick("backend"),
             jobs=pick("jobs"),
@@ -443,10 +422,6 @@ class SweepSpec:
     def configs(self) -> Dict[GridPoint, SystemConfig]:
         """Every grid point's machine configuration, keyed by
         (processors per cluster, paper SCC bytes)."""
-        if self.kind == "miss-surface":
-            raise ValueError(
-                "miss-surface sweeps are row analyses, not point grids; "
-                "run them through run_sweep()")
         scale = self.profile.ladder_scale
         overrides = dict(self.variants)
         if self.kind == "multiprogramming":
@@ -476,21 +451,10 @@ class SweepSpec:
         """
         key = point_cache_key(self.benchmark, self.profile, config,
                               self.instrument)
-        if self.fidelity == "analytical" \
-                and not self.analytical_refused(config):
+        if self.fidelity == "analytical":
             from ..model.profile import MODEL_VERSION
             key += f"|fidelity=analytical|model=v{MODEL_VERSION}"
         return key
-
-    def analytical_refused(self, config: SystemConfig) -> bool:
-        """Whether ``strict_parallel`` routes this point to the exact
-        tiers: multi-processor *parallel* rows are where the surrogate
-        is known-bad (interleaving-aware merge still missing).  Refused
-        points resolve exactly, so they keep their exact point keys --
-        a strict sweep can be warmed by (and warms) ordinary fused
-        sweeps, and never serves a stale prediction."""
-        return (self.strict_parallel and config.clusters > 1
-                and config.processors_per_cluster > 1)
 
     def describe(self) -> Dict[str, object]:
         """JSON-safe identity payload (the fields that determine the
@@ -509,8 +473,6 @@ class SweepSpec:
         }
         if self.fidelity == "analytical":
             payload["fidelity"] = "analytical"
-            if self.strict_parallel:
-                payload["strict_parallel"] = True
         if self.variants:
             payload["variants"] = [list(pair) for pair in self.variants]
         return payload
@@ -543,10 +505,8 @@ class SweepSpec:
             "ladder": list(self.ladder),
             "procs": list(self.procs),
             "instrument": self.instrument,
-            "fused": self.fused,
             "fidelity": self.fidelity,
             "variants": [list(pair) for pair in self.variants],
-            "strict_parallel": self.strict_parallel,
             "backend": self.backend,
             "jobs": self.jobs,
             "max_attempts": self.max_attempts,
@@ -556,7 +516,12 @@ class SweepSpec:
 
     @classmethod
     def from_wire(cls, payload: Dict[str, object]) -> "SweepSpec":
-        """Rebuild (and re-validate) a spec from :meth:`to_wire`."""
+        """Rebuild (and re-validate) a spec from :meth:`to_wire`.
+
+        Values are validated, never coerced: a string ``instrument`` or
+        a fractional ``jobs`` is rejected rather than reinterpreted.
+        Keys this build does not read, such as the retired execution
+        flags older payloads carry, are ignored."""
         if not isinstance(payload, dict):
             raise ValueError("wire spec must be a JSON object")
         version = payload.get("version")
@@ -571,18 +536,15 @@ class SweepSpec:
                 profile=profile,
                 ladder=tuple(payload["ladder"]),
                 procs=tuple(payload["procs"]),
-                instrument=bool(payload["instrument"]),
-                fused=bool(payload["fused"]),
+                instrument=payload["instrument"],
                 fidelity=payload["fidelity"],
-                variants=tuple((str(knob), value) for knob, value
+                variants=tuple((knob, value) for knob, value
                                in payload.get("variants") or ()),
-                strict_parallel=bool(payload.get("strict_parallel",
-                                                 False)),
                 backend=payload.get("backend"),
                 jobs=payload.get("jobs"),
-                max_attempts=int(payload.get("max_attempts", 3)),
+                max_attempts=payload.get("max_attempts", 3),
                 point_timeout=payload.get("point_timeout"),
-                retry_backoff=float(payload.get("retry_backoff", 0.5)),
+                retry_backoff=payload.get("retry_backoff", 0.5),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed spec wire payload: {exc}") from None

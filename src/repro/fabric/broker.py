@@ -161,10 +161,6 @@ class Broker:
         Store-warm points settle immediately (zero work units for a
         fully warm spec); the remainder is sharded and queued.
         """
-        if spec.kind == "miss-surface":
-            raise FabricError("miss-surface sweeps are row analyses with "
-                              "no point grid; run them locally with "
-                              "run_sweep(spec)")
         with self._lock:
             job_id = f"j{next(self._job_seq):04d}-{spec.signature()[:8]}"
             job = SweepJob(job_id, spec)

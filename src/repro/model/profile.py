@@ -312,6 +312,13 @@ def coherence_ladder(refs: Sequence[Tuple[int, int, int]],
     return per_rung
 
 
+_PAYLOAD_KEYS = frozenset((
+    "model_version", "line_size", "clusters", "procs_per_cluster",
+    "tracked_line_counts", "reads", "writes", "per_process",
+    "process_histograms", "cluster_histograms", "ladder", "sharing"))
+"""Top-level keys of every :meth:`RowProfile.as_dict` payload."""
+
+
 class RowProfile:
     """The analytical summary of one grid row's tape.
 
@@ -379,9 +386,14 @@ class RowProfile:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RowProfile":
+        if not isinstance(payload, dict):
+            raise ValueError("profile payload is not a JSON object")
         if payload.get("model_version") != MODEL_VERSION:
             raise ValueError("profile written by a different model "
                              "version")
+        missing = _PAYLOAD_KEYS.difference(payload)
+        if missing:
+            raise ValueError(f"profile payload lacks {sorted(missing)}")
         return cls(payload)
 
 

@@ -6,9 +6,8 @@ Candidates are priced through a funnel of increasing fidelity:
   of the population for free (no simulation).  Parallel rows with more
   than one processor per cluster -- exactly where the surrogate is
   known-bad (miss-ratio MAE ~ 0.09) -- skip this tier: the evaluator
-  routes them straight to the fused tier, and the specs it does build
-  carry ``strict_parallel=True`` so the session would refuse such rows
-  anyway.
+  routes them straight to the fused tier before it builds a spec, so
+  no analytical spec it submits ever holds such a row.
 * **fused** -- the exact trace/fused-replay engines score the
   survivors.  These specs use the default instrumented cache keys, so
   an optimizer run warms (and is warmed by) ordinary ``repro sweep``
@@ -40,7 +39,7 @@ from ..cost.costperf import (NORMALIZATION_CONFIG, compare_configurations,
                              surface_from_results)
 from ..cost.floorplan import CLUSTER_IMPLEMENTATIONS, implementation_for
 from ..cost.latency import latency_factor
-from ..experiments.session import grid_sweep
+from ..experiments.session import run_sweep
 from ..experiments.spec import FIDELITIES, ExperimentProfile, SweepSpec
 from .space import Candidate
 
@@ -150,7 +149,7 @@ class FunnelEvaluator:
     Candidates sharing (processors, variant knobs) are batched into one
     :class:`SweepSpec` per benchmark whose ladder is their SCC sizes,
     so the fused engine resolves a whole row in one pass.  Execution
-    goes through :func:`~repro.experiments.session.grid_sweep` locally,
+    goes through :func:`~repro.experiments.session.run_sweep` locally,
     or through a :class:`~repro.fabric.client.SweepClient` when one is
     supplied -- candidate batches ride the same fabric as any sweep.
 
@@ -193,8 +192,9 @@ class FunnelEvaluator:
     def _effective_tier(self, tier: str, benchmark: str,
                         procs: int) -> str:
         """Route known-bad surrogate rows past the analytical tier:
-        multi-processor *parallel* rows go straight to fused (the
-        strict-parallel policy, applied before any spec is built)."""
+        multi-processor *parallel* rows go straight to fused.  This is
+        the one place that policy lives; it runs before any spec is
+        built."""
         if (tier == "analytical" and self._kind(benchmark) == "parallel"
                 and procs > 1):
             return "fused"
@@ -213,8 +213,6 @@ class FunnelEvaluator:
             variants=variants,
             fidelity=tier,
             instrument=tier != "analytical",
-            fused=tier != "full",
-            strict_parallel=tier == "analytical",
             backend=self.backend,
             jobs=self.jobs,
         )
@@ -224,7 +222,7 @@ class FunnelEvaluator:
                            len(spec.ladder) * len(spec.procs))
         if self.client is not None:
             return self.client.result(self.client.submit(spec))
-        return grid_sweep(spec, **self._sweep_kwargs)
+        return run_sweep(spec, **self._sweep_kwargs)
 
     def _base_time(self, benchmark: str) -> float:
         """Raw time of the 8-processor / 512 KB reference (always exact

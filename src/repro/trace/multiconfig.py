@@ -63,19 +63,18 @@ Applicability is decided by :func:`fused_ladder_supported`: single
 process, shared-SCC snoopy machine, direct-mapped power-of-two
 geometry, write buffering enabled, and configurations differing *only*
 in ``scc_size``.  Everything else falls back to per-size replay in the
-sweep driver.  For parallel workloads (several processes, so interleave
-order is configuration-dependent) :func:`per_process_miss_surface`
-offers the classic approximation instead: each process's tape evaluated
-against the whole ladder at once, producing content-only miss counts
-with no timing claims.
+sweep driver.  Parallel workloads (several processes, so interleave
+order is configuration-dependent) have no fused timing replay; their
+cheap tier is the reuse-distance surrogate of :mod:`repro.model`
+(``SweepSpec(fidelity="analytical")``), which prices every rung of a
+row from one tape with coherence included.
 """
 
 from __future__ import annotations
 
 from array import array as _qarray_type
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import resolve_backend
 from .interleave import DeadlockError, SyncProtocolError, fused_replay_ok
@@ -87,7 +86,7 @@ from ..core.config import SystemConfig
 from ..core.system import MultiprocessorSystem
 
 __all__ = ["fused_ladder_supported", "fused_ladder_results",
-           "ladder_engine", "per_process_miss_surface", "MissSurfacePoint"]
+           "ladder_engine"]
 
 
 def _qarray(values) -> "_qarray_type":
@@ -910,127 +909,3 @@ def _fused_pass_native(ladder: List[SystemConfig],
         model_icache=model_icache, ic_misses=regs[8],
         ic_fetch_lines=regs[9], ic_states=ic_states, ic_tags=ic_tags)
     return regs[3], times
-
-
-# ----------------------------------------------------------------------
-# Miss-surface mode for parallel workloads
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MissSurfacePoint:
-    """Content-only counts of one (process, SCC size) cell."""
-
-    reads: int
-    writes: int
-    read_misses: int
-    write_misses: int
-
-    @property
-    def miss_rate(self) -> float:
-        accesses = self.reads + self.writes
-        if not accesses:
-            return 0.0
-        return (self.read_misses + self.write_misses) / accesses
-
-
-def per_process_miss_surface(
-        config: SystemConfig,
-        scc_sizes: Iterable[int],
-        streams: Dict[int, Sequence[int]],
-) -> Dict[int, Dict[int, MissSurfacePoint]]:
-    """Approximate miss surface: each process's tape against all sizes.
-
-    For parallel workloads the interleave order depends on the machine,
-    so no fused *timing* replay exists; what one pass per process can
-    still deliver is the classic multi-configuration content analysis:
-    per-process miss counts for every ladder size simultaneously,
-    treating each process's references as a private stream (no
-    coherence, no contention, no timing).  Useful for scouting a
-    working-set knee before spending full simulations on it; never fed
-    into :class:`~repro.experiments.runner.RunStats`.
-
-    Returns ``{process: {scc_size: MissSurfacePoint}}``; sizes must be
-    powers of two holding more than one ``config.line_size`` line.
-    """
-    sizes = sorted(set(scc_sizes))
-    if not sizes:
-        raise ValueError("need at least one SCC size")
-    line_size = config.line_size
-    geometry = []
-    for size in sizes:
-        lines = size // line_size
-        if lines < 2 or lines & (lines - 1):
-            raise ValueError(
-                f"scc size {size} is not a power-of-two line count")
-        geometry.append((lines - 1, lines.bit_length() - 1))
-    line_shift = config.line_offset_bits
-    n_sizes = len(sizes)
-    surface: Dict[int, Dict[int, MissSurfacePoint]] = {}
-    for proc in sorted(streams):
-        data = streams[proc]
-        tags = [[-1] * (mask + 1) for mask, _ in geometry]
-        reads = writes = 0
-        rmiss = [0] * n_sizes
-        wmiss = [0] * n_sizes
-        tags0 = tags[0]
-        mask0, shift0 = geometry[0]
-
-        def touch(line: int, is_read: bool) -> None:
-            if tags0[line & mask0] == line >> shift0:
-                return          # resident at the smallest size: hit all
-            for s in range(n_sizes):
-                mask, shift = geometry[s]
-                slot = tags[s]
-                index = line & mask
-                tag = line >> shift
-                if slot[index] == tag:
-                    break       # inclusion: resident above too
-                slot[index] = tag
-                if is_read:
-                    rmiss[s] += 1
-                else:
-                    wmiss[s] += 1
-
-        i = 0
-        end = len(data)
-        while i < end:
-            op = data[i]
-            if op == OP_READ or op == OP_WRITE:
-                line = data[i + 1] >> line_shift
-                if op == OP_READ:
-                    reads += 1
-                    touch(line, True)
-                else:
-                    writes += 1
-                    touch(line, False)
-                i += 2
-            elif op == OP_READ_SPAN or op == OP_WRITE_SPAN:
-                span_base = data[i + 1]
-                size = data[i + 2]
-                stride = data[i + 3]
-                if size > 0 and stride <= 0:
-                    raise ValueError(f"non-positive span stride at {i}")
-                is_read = op == OP_READ_SPAN
-                for offset in range(0, size, stride):
-                    line = (span_base + offset) >> line_shift
-                    if is_read:
-                        reads += 1
-                        touch(line, True)
-                    else:
-                        writes += 1
-                        touch(line, False)
-                i += 4
-            elif op in (OP_COMPUTE, OP_LOCK_ACQ, OP_LOCK_REL, OP_DEQUEUE):
-                i += 2
-            elif op in (OP_IFETCH, OP_BARRIER, OP_ENQUEUE):
-                i += 3
-            else:
-                raise ValueError(f"unknown packed opcode {op} at {i}")
-        surface[proc] = {
-            sizes[s]: MissSurfacePoint(reads=reads, writes=writes,
-                                       read_misses=rmiss[s],
-                                       write_misses=wmiss[s])
-            for s in range(n_sizes)
-        }
-    return surface

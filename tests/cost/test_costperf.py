@@ -132,7 +132,7 @@ class TestSurfaceFromResults:
 
 class TestRecordedQuickSurfaces:
     """Section 5 pinned against recorded quick-profile sweep results
-    (tests/cost/data/quick_surfaces.json, regenerate with grid_sweep
+    (tests/cost/data/quick_surfaces.json, regenerate with run_sweep
     on REPRO_PROFILE=quick)."""
 
     @pytest.fixture

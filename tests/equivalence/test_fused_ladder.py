@@ -5,16 +5,17 @@ Two layers of pinning:
 * engine level -- the fused pass must reproduce the per-size replay's
   golden-style fingerprint on every configuration variant the gate
   admits (the same fingerprint the ``golden_stats.json`` suite uses);
-* runner level -- a sweep resolved through the fused path must return
-  RunStats equal to the same sweep with ``fused=False``, and rows the
-  engine cannot cover (multi-process, instrumented) must route to the
-  per-size replay automatically.
+* session level -- a sweep resolved through the fused path must return
+  RunStats equal to the same sweep simulated point by point
+  (``fidelity="full"``), and rows the engine cannot cover
+  (multi-process, instrumented) must route to the per-size replay
+  automatically.
 """
 
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.experiments import SweepSpec, run_sweep, runner
+from repro.experiments import SweepSpec, run_sweep, session
 from repro.experiments.runner import ExperimentProfile, ResultCache
 from repro.simulation import run_simulation
 from repro.trace import multiconfig
@@ -139,29 +140,43 @@ def test_ladder_backend_knob_degrades_gracefully(monkeypatch):
     assert {result.engine for result in results} == {"python"}
 
 
-def test_sweep_results_identical_with_and_without_fusion(tmp_path):
-    trace_cache = TraceCache(tmp_path / "traces")
-    sweeps = {}
-    for fused in (False, True):
-        sweeps[fused] = run_sweep(
-            SweepSpec.multiprogramming(
-                TINY, ladder=(32768, 65536, 131072, 262144), procs=(1,),
-                instrument=False, fused=fused, max_attempts=1),
-            cache=ResultCache(tmp_path / f"results-{fused}"),
-            trace_cache=trace_cache)
-    assert sweeps[True] == sweeps[False]
-    assert len(sweeps[True]) == 4
-
-
-def test_uniprocessor_row_uses_fused_engine(tmp_path, monkeypatch):
+def test_sweep_results_identical_with_and_without_fusion(tmp_path,
+                                                         monkeypatch):
+    """The fused tier against per-point simulation of every rung, the
+    strongest reference a sweep can name."""
     calls = []
-    real = runner.fused_ladder_results
+    real = session.fused_ladder_results
 
     def spy(configs, streams, *args, **kwargs):
         calls.append(len(configs))
         return real(configs, streams, *args, **kwargs)
 
-    monkeypatch.setattr(runner, "fused_ladder_results", spy)
+    monkeypatch.setattr(session, "fused_ladder_results", spy)
+    trace_cache = TraceCache(tmp_path / "traces")
+    sweeps = {}
+    for fidelity in ("full", "fused"):
+        sweeps[fidelity] = run_sweep(
+            SweepSpec.multiprogramming(
+                TINY, ladder=(32768, 65536, 131072, 262144), procs=(1,),
+                instrument=False, fidelity=fidelity, max_attempts=1),
+            cache=ResultCache(tmp_path / f"results-{fidelity}"),
+            trace_cache=trace_cache)
+    assert sweeps["fused"] == sweeps["full"]
+    assert len(sweeps["fused"]) == 4
+    # The full sweep recorded no tape; the fused one recorded the row
+    # at its first rung and fused the other three.
+    assert calls == [3]
+
+
+def test_uniprocessor_row_uses_fused_engine(tmp_path, monkeypatch):
+    calls = []
+    real = session.fused_ladder_results
+
+    def spy(configs, streams, *args, **kwargs):
+        calls.append(len(configs))
+        return real(configs, streams, *args, **kwargs)
+
+    monkeypatch.setattr(session, "fused_ladder_results", spy)
     run_sweep(
         SweepSpec.multiprogramming(
             TINY, ladder=(32768, 65536, 131072), procs=(1,),
@@ -180,7 +195,7 @@ def test_multiprocess_row_routes_to_per_size_replay(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("fused engine used on a parallel row")
 
-    monkeypatch.setattr(runner, "fused_ladder_results", forbidden)
+    monkeypatch.setattr(session, "fused_ladder_results", forbidden)
 
     class DeterministicMultiprog(MultiprogrammingWorkload):
         deterministic_stream = True
@@ -193,14 +208,14 @@ def test_multiprocess_row_routes_to_per_size_replay(tmp_path, monkeypatch):
             quantum_instructions=profile.multiprog_quantum,
             scale=profile.ladder_scale))
     replays = []
-    real_replay = runner.ReplayApplication
+    real_replay = session.ReplayApplication
 
     class SpyReplay(real_replay):
         def __init__(self, streams, name="replay"):
             replays.append(name)
             super().__init__(streams, name=name)
 
-    monkeypatch.setattr(runner, "ReplayApplication", SpyReplay)
+    monkeypatch.setattr(session, "ReplayApplication", SpyReplay)
     sweep = run_sweep(
         SweepSpec.multiprogramming(
             profile, ladder=(32768, 65536, 131072), procs=(2,),
@@ -219,7 +234,7 @@ def test_instrumented_row_routes_to_per_size_replay(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("fused engine used on an instrumented row")
 
-    monkeypatch.setattr(runner, "fused_ladder_results", forbidden)
+    monkeypatch.setattr(session, "fused_ladder_results", forbidden)
     sweep = run_sweep(
         SweepSpec.multiprogramming(
             TINY, ladder=(32768, 65536), procs=(1,), instrument=True,

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.config import KB, SystemConfig
+from repro.core.config import KB
 from repro.experiments import SweepSpec, run_sweep
 from repro.experiments.runner import (PAPER_LADDER, PROFILES, ResultCache,
-                                      RunStats, active_profile, run_point)
+                                      RunStats, active_profile)
 
 
 @pytest.fixture
@@ -71,15 +71,29 @@ class TestResultCache:
         assert cache.get("a") is None
 
 
+def one_point(benchmark, profile, paper_bytes, cache, **knobs):
+    """Simulate one grid point directly (one processor per cluster, no
+    replay tiers) through ``run_sweep``, or fetch it from ``cache``."""
+    if benchmark == "multiprogramming":
+        spec = SweepSpec.multiprogramming(
+            profile, ladder=(paper_bytes,), procs=(1,), fidelity="full",
+            max_attempts=1, **knobs)
+    else:
+        spec = SweepSpec.parallel(
+            benchmark, profile, ladder=(paper_bytes,), procs=(1,),
+            fidelity="full", max_attempts=1, **knobs)
+    return run_sweep(spec, cache=cache)[(1, paper_bytes)]
+
+
 class TestRunPoint:
-    def test_run_point_populates_cache(self, tmp_path, tiny_profile):
+    def test_one_point_sweep_populates_cache(self, tmp_path,
+                                             tiny_profile):
         cache = ResultCache(tmp_path)
-        config = SystemConfig.paper_parallel(1, 1 * KB)
-        first = run_point("mp3d", tiny_profile, config, cache)
+        first = one_point("mp3d", tiny_profile, 8 * KB, cache)
         assert first.execution_time > 0
         assert first.reads > 0
         # A second call is served from the cache (same values).
-        second = run_point("mp3d", tiny_profile, config, cache)
+        second = one_point("mp3d", tiny_profile, 8 * KB, cache)
         assert second == first
         assert len(list(tmp_path.glob("*.json"))) == 1
 
@@ -93,16 +107,15 @@ class TestRunPoint:
         assert set(sweep) == {(1, 4 * KB), (2, 4 * KB),
                               (1, 64 * KB), (2, 64 * KB)}
 
-    def test_run_point_carries_instrument_digest(self, tmp_path,
-                                                 tiny_profile):
+    def test_one_point_sweep_carries_instrument_digest(self, tmp_path,
+                                                       tiny_profile):
         cache = ResultCache(tmp_path)
-        config = SystemConfig.paper_parallel(1, 1 * KB)
-        stats = run_point("mp3d", tiny_profile, config, cache)
+        stats = one_point("mp3d", tiny_profile, 8 * KB, cache)
         assert stats.instrument is not None
         assert stats.instrument["bus_transactions"] > 0
         assert "bus_peak_utilization" in stats.instrument
         # The digest survives the JSON cache round trip.
-        cached = run_point("mp3d", tiny_profile, config, cache)
+        cached = one_point("mp3d", tiny_profile, 8 * KB, cache)
         assert cached.instrument == stats.instrument
 
     def test_instrument_digest_excluded_from_equality(self):
@@ -146,12 +159,11 @@ class TestParallelJobs:
 class TestInstrumentFlag:
     def test_instrument_false_skips_digest(self, tmp_path, tiny_profile):
         cache = ResultCache(tmp_path)
-        config = SystemConfig.paper_parallel(1, 1 * KB)
-        bare = run_point("mp3d", tiny_profile, config, cache,
+        bare = one_point("mp3d", tiny_profile, 8 * KB, cache,
                          instrument=False)
         assert bare.instrument is None
         # The digest-less payload must not shadow the instrumented one.
-        instrumented = run_point("mp3d", tiny_profile, config, cache)
+        instrumented = one_point("mp3d", tiny_profile, 8 * KB, cache)
         assert instrumented.instrument is not None
         # Physics identical either way (probes must not perturb stats).
         assert instrumented == bare
@@ -176,13 +188,9 @@ class TestTraceCachedSweep:
         # One recording serves the whole row.
         assert len(list(trace_dir.glob("*.trace"))) == 1
         # Every point equals a direct, replay-free simulation.
-        icache = max(16 * KB // tiny_profile.ladder_scale, 512)
         for (procs, paper_bytes), stats in sweep.items():
-            config = SystemConfig.paper_multiprogramming(
-                procs, paper_bytes // tiny_profile.ladder_scale
-            ).with_updates(icache_size=icache)
-            direct = run_point("multiprogramming", tiny_profile, config,
-                               cache=None)
+            direct = one_point("multiprogramming", tiny_profile,
+                               paper_bytes, cache=None)
             assert direct == stats
             assert direct.events == stats.events
 

@@ -16,6 +16,7 @@ from repro.experiments.session import (FAULT_INJECT_ENV,
                                        _maybe_inject_fault,
                                        prune_stale_journals, run_sweep)
 from repro.experiments.spec import ExperimentProfile, SweepSpec
+from repro.trace.record import TraceCache
 
 
 @pytest.fixture
@@ -32,13 +33,10 @@ def tiny_profile():
 def no_trace_stage(monkeypatch):
     """Disable record/replay resolution so every uncached point reaches
     the supervised-execution stage (where retries/faults live)."""
-    from repro.experiments import session
-
-    def passthrough(benchmark, profile, configs, missing, sweep, cache,
-                    instrument, trace_cache, fused=True, backend=None):
+    def passthrough(self, missing, sweep):
         return missing
 
-    monkeypatch.setattr(session, "_resolve_via_traces", passthrough)
+    monkeypatch.setattr(SweepSession, "_resolve_via_traces", passthrough)
 
 
 @pytest.fixture
@@ -95,14 +93,31 @@ class TestJournal:
         bad = reloaded.entry((2, 8 * KB))
         assert bad["status"] == "quarantined" and bad["reason"] == "boom"
 
-    def test_corrupt_journal_discarded(self, tmp_path, tiny_profile):
-        spec = _grid_spec(tiny_profile)
+    def test_corrupt_journal_discarded(self, tmp_path, tiny_profile,
+                                       caplog):
+        """Torn writes and valid JSON of the wrong shape alike are
+        warned about once, deleted, and a run over them starts
+        fresh."""
+        spec = _grid_spec(tiny_profile, ladder=(4 * KB,), procs=(1,))
         journal = SessionJournal(spec, tmp_path)
         journal.record((1, 4 * KB), "done", stats=_stats())
-        journal.path.write_text("{torn write")
-        fresh = SessionJournal(spec, tmp_path)
-        assert not fresh.load()
-        assert not journal.path.exists()
+        good = json.loads(journal.path.read_text())
+        wrong_entry = dict(good, points={"1/4096": "done"})
+        for text in ("{torn write", "[]", "null", "3", '"x"',
+                     json.dumps(wrong_entry)):
+            journal.path.write_text(text)
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                assert not SessionJournal(spec, tmp_path).load()
+            assert not journal.path.exists(), text
+            assert len([r for r in caplog.records
+                        if "corrupt sweep journal" in r.message]) == 1
+            journal.path.write_text(text)
+            result = SweepSession(
+                spec, cache=None, session_dir=tmp_path, resume=True,
+                trace_cache=TraceCache(tmp_path / "traces")).run()
+            assert result.counters.get("journaled", 0) == 0, text
+            assert set(result.sweep) == {(1, 4 * KB)}
 
     def test_signature_mismatch_starts_fresh(self, tmp_path,
                                              tiny_profile):

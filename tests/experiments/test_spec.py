@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import KB, SystemConfig
 from repro.experiments.spec import (KNOWN_BENCHMARKS, PAPER_LADDER,
-                                    PROCS_SWEPT, PROFILES,
+                                    PROCS_SWEPT, PROFILES, SWEEP_KINDS,
                                     ExperimentProfile, SweepSpec,
                                     point_cache_key)
 
@@ -26,7 +26,7 @@ class TestValidation:
         spec = SweepSpec.parallel("mp3d", profile=tiny_profile)
         assert spec.ladder == PAPER_LADDER
         assert spec.procs == PROCS_SWEPT
-        assert spec.instrument and spec.fused
+        assert spec.instrument and spec.fidelity == "fused"
         assert spec.max_attempts == 3
 
     def test_sequences_coerced_to_tuples(self, tiny_profile):
@@ -48,6 +48,11 @@ class TestValidation:
         dict(max_attempts=0),
         dict(point_timeout=0.0),
         dict(retry_backoff=-1.0),
+        dict(instrument="false"),
+        dict(instrument=1),
+        dict(jobs=2.5),
+        dict(jobs=True),
+        dict(max_attempts=2.7),
     ])
     def test_rejects_bad_fields(self, tiny_profile, bad):
         fields = dict(kind="parallel", benchmark="mp3d",
@@ -65,13 +70,18 @@ class TestValidation:
             SweepSpec(kind="multiprogramming", benchmark="mp3d",
                       profile=tiny_profile)
 
-    def test_miss_surface_takes_one_row(self, tiny_profile):
+    def test_sweep_kinds_are_the_two_grids(self):
+        assert SWEEP_KINDS == ("parallel", "multiprogramming")
+
+    @pytest.mark.parametrize("bad", [
+        dict(ladder_scale=0), dict(ladder_scale="8"),
+        dict(barnes_bodies=32.0), dict(cholesky_n=True),
+        dict(multiprog_quantum=-1), dict(name=7),
+    ])
+    def test_profile_rejects_bad_sizing(self, tiny_profile, bad):
+        import dataclasses
         with pytest.raises(ValueError):
-            SweepSpec(kind="miss-surface", benchmark="mp3d",
-                      profile=tiny_profile, procs=(1, 2))
-        spec = SweepSpec.miss_surface("mp3d", profile=tiny_profile,
-                                      procs_per_cluster=4)
-        assert spec.procs == (4,)
+            dataclasses.replace(tiny_profile, **bad)
 
 
 class TestConfigs:
@@ -95,10 +105,6 @@ class TestConfigs:
         assert config.icache_size == max(
             16 * KB // tiny_profile.ladder_scale, 512)
 
-    def test_miss_surface_has_no_point_grid(self, tiny_profile):
-        spec = SweepSpec.miss_surface("mp3d", profile=tiny_profile)
-        with pytest.raises(ValueError):
-            spec.configs()
 
 
 class TestCacheKeys:
@@ -116,12 +122,6 @@ class TestCacheKeys:
                                instrument=False) == (
             expected + "|instrument=False")
 
-    def test_runner_alias_unchanged(self, tiny_profile):
-        from repro.experiments.runner import _stats_key
-        config = SystemConfig.paper_parallel(1, 1 * KB)
-        assert _stats_key("mp3d", tiny_profile, config) == \
-            point_cache_key("mp3d", tiny_profile, config)
-
     def test_spec_point_key_uses_instrument_flag(self, tiny_profile):
         spec = SweepSpec.parallel("mp3d", profile=tiny_profile,
                                   instrument=False)
@@ -131,10 +131,10 @@ class TestCacheKeys:
 
 class TestSignature:
     def test_execution_knobs_do_not_change_identity(self, tiny_profile):
-        """jobs/fused/retry policy only change *how* results are
+        """jobs/fidelity/retry policy only change *how* results are
         obtained, so a journal keyed by the signature survives them."""
         base = SweepSpec.parallel("mp3d", profile=tiny_profile)
-        for knobs in (dict(jobs=4), dict(fused=False),
+        for knobs in (dict(jobs=4), dict(fidelity="full"),
                       dict(max_attempts=1), dict(point_timeout=5.0),
                       dict(retry_backoff=0.0), dict(backend="native"),
                       dict(backend="python")):
@@ -185,8 +185,8 @@ class TestFromCliArgs:
     @staticmethod
     def _args(**overrides):
         defaults = dict(benchmark="mp3d", profile=None, ladder=None,
-                        procs=None, no_instrument=False, no_fused=False,
-                        jobs=None, resume=False, retries=2, timeout=None,
+                        procs=None, no_instrument=False, jobs=None,
+                        resume=False, retries=2, timeout=None,
                         backoff=0.5)
         defaults.update(overrides)
         return argparse.Namespace(**defaults)
@@ -203,11 +203,11 @@ class TestFromCliArgs:
     def test_knobs_flow_through(self):
         spec = SweepSpec.from_cli_args(self._args(
             profile="quick", ladder=(4 * KB, 8 * KB), procs=(1, 2),
-            no_instrument=True, no_fused=True, jobs=3, retries=0,
+            no_instrument=True, jobs=3, retries=0,
             timeout=2.5, backoff=0.1))
         assert spec.ladder == (4 * KB, 8 * KB)
         assert spec.procs == (1, 2)
-        assert not spec.instrument and not spec.fused
+        assert not spec.instrument and spec.fidelity == "fused"
         assert spec.jobs == 3
         assert spec.max_attempts == 1
         assert spec.point_timeout == 2.5

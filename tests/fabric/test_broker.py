@@ -57,12 +57,6 @@ class TestSubmitAndSharding:
         statuses = [e["status"] for e in events if e["event"] == "point"]
         assert statuses == ["store"] * 4
 
-    def test_miss_surface_specs_rejected(self, broker, tiny_profile):
-        from repro.experiments.spec import SweepSpec
-        surface = SweepSpec.miss_surface("mp3d", profile=tiny_profile)
-        with pytest.raises(FabricError, match="miss-surface"):
-            broker.submit(surface)
-
 
 class TestLeaseLifecycle:
     def test_heartbeat_keeps_a_slow_worker_leased(self, broker, clock,

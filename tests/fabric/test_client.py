@@ -3,15 +3,15 @@ sockets -- leases, heartbeats, workers, store, fault injection."""
 
 import pytest
 
-from repro.experiments.session import QuarantinedPointError, grid_sweep
+from repro.experiments.session import QuarantinedPointError, run_sweep
 from repro.fabric import FabricError, LocalFabric
 
 from .conftest import counting_simulator
 
 
 class TestLocalFabricEndToEnd:
-    def test_grid_matches_local_grid_sweep(self, tiny_spec):
-        local = grid_sweep(tiny_spec, cache=None)
+    def test_grid_matches_local_run_sweep(self, tiny_spec):
+        local = run_sweep(tiny_spec, cache=None)
         with LocalFabric(workers=2) as fabric:
             handle = fabric.client.submit(tiny_spec)
             remote = fabric.client.result(handle, timeout=120.0)

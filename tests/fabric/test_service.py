@@ -8,7 +8,7 @@ import urllib.request
 
 import pytest
 
-from repro.experiments.session import grid_sweep
+from repro.experiments.session import run_sweep
 from repro.fabric import (ArtifactStore, Broker, FabricError,
                           SweepClient, Worker, start_in_thread)
 
@@ -43,7 +43,7 @@ class TestHttpEndToEnd:
     def test_results_byte_identical_to_local(self, fabric_http,
                                              tiny_spec):
         _broker, client, _url = fabric_http
-        local = grid_sweep(tiny_spec, cache=None)
+        local = run_sweep(tiny_spec, cache=None)
         handle = client.submit(tiny_spec)
         remote = client.result(handle, timeout=120.0)
         assert set(remote) == set(local)

@@ -41,9 +41,31 @@ class TestSpecWire:
         assert back.describe() == tiny_spec.describe()
         assert back.configs().keys() == tiny_spec.configs().keys()
         # Execution knobs survive too: the worker honours them.
-        assert back.fused == tiny_spec.fused
+        assert back.fidelity == tiny_spec.fidelity
         assert back.max_attempts == tiny_spec.max_attempts
         assert back.retry_backoff == tiny_spec.retry_backoff
+
+    def test_wire_round_trip_preserves_fidelity_and_variants(
+            self, tiny_spec):
+        spec = SweepSpec.parallel(
+            "mp3d", profile=tiny_spec.profile, ladder=(4096,), procs=(1,),
+            fidelity="analytical", instrument=False,
+            variants=(("associativity", 2), ("protocol", "mesi")))
+        clone = SweepSpec.from_wire(spec.to_wire())
+        assert clone == spec
+        assert clone.variants == (("associativity", 2),
+                                  ("protocol", "mesi"))
+
+    def test_retired_flags_in_older_payloads_are_ignored(self, tiny_spec):
+        """``fused`` and ``strict_parallel`` never changed a result, so
+        a version-1 payload that still carries them is accepted as the
+        same spec (and ``to_wire`` no longer writes them)."""
+        payload = tiny_spec.to_wire()
+        assert "fused" not in payload and "strict_parallel" not in payload
+        payload.update(fused=False, strict_parallel=True)
+        back = SweepSpec.from_wire(payload)
+        assert back == tiny_spec
+        assert back.signature() == tiny_spec.signature()
 
     def test_point_keys_survive_the_wire(self, tiny_spec):
         """The key-compatibility guarantee: a spec rebuilt from its
@@ -69,6 +91,11 @@ class TestSpecWire:
         lambda p: p.pop("benchmark"),
         lambda p: p.pop("profile"),
         lambda p: p.__setitem__("profile", "not-a-dict"),
+        lambda p: p.__setitem__("instrument", "false"),
+        lambda p: p.__setitem__("max_attempts", 2.7),
+        lambda p: p.__setitem__("jobs", 2.5),
+        lambda p: p["profile"].__setitem__("ladder_scale", "8"),
+        lambda p: p["profile"].__setitem__("cholesky_n", 0),
     ])
     def test_malformed_payloads_rejected(self, tiny_spec, mangle):
         payload = tiny_spec.to_wire()

@@ -53,10 +53,6 @@ class TestSpecValidation:
                                        fidelity="analytical",
                                        instrument=True)
 
-    def test_miss_surface_has_no_analytical_mode(self, tiny_profile):
-        with pytest.raises(ValueError):
-            SweepSpec.miss_surface("mp3d", profile=tiny_profile,
-                                   fidelity="analytical")
 
 
 class TestPointKeys:
@@ -98,16 +94,15 @@ class TestFromCliArgs:
     def _args(**overrides):
         defaults = dict(benchmark="multiprogramming", profile="tiny",
                         ladder=None, procs=None, no_instrument=False,
-                        no_fused=False, jobs=None, resume=False,
-                        retries=2, timeout=None, backoff=0.5,
-                        fidelity=None)
+                        jobs=None, resume=False, retries=2, timeout=None,
+                        backoff=0.5, fidelity=None)
         defaults.update(overrides)
         return argparse.Namespace(**defaults)
 
     def test_default_is_fused(self):
         spec = SweepSpec.from_cli_args(self._args(profile="quick"))
         assert spec.fidelity == "fused"
-        assert spec.instrument and spec.fused
+        assert spec.instrument
 
     def test_analytical_implies_no_instrumentation(self):
         spec = SweepSpec.from_cli_args(
@@ -119,7 +114,7 @@ class TestFromCliArgs:
         spec = SweepSpec.from_cli_args(
             self._args(profile="quick", fidelity="full"))
         assert spec.fidelity == "full"
-        assert not spec.fused
+        assert spec.instrument
 
 
 def counting_simulator(monkeypatch):
@@ -215,94 +210,3 @@ class TestAnalyticalSession:
         session.run()
         assert session.counters["cached"] == len(spec.configs())
         assert session.counters.get("analytical", 0) == 0
-
-
-class TestStrictParallel:
-    """strict_parallel: analytical sweeps refuse the surrogate on
-    multi-processor parallel rows and resolve them exactly instead."""
-
-    def _parallel_spec(self, tiny_profile, **knobs):
-        knobs.setdefault("ladder", (2 * KB, 4 * KB))
-        knobs.setdefault("procs", (1, 2))
-        if knobs.get("fidelity") == "analytical":
-            knobs.setdefault("instrument", False)
-        return SweepSpec.parallel("mp3d", profile=tiny_profile, **knobs)
-
-    def test_only_analytical_specs_accept_it(self, tiny_profile):
-        with pytest.raises(ValueError, match="strict_parallel"):
-            self._parallel_spec(tiny_profile, strict_parallel=True)
-        spec = self._parallel_spec(tiny_profile, fidelity="analytical",
-                                   strict_parallel=True)
-        assert spec.strict_parallel
-
-    def test_refusal_targets_multiproc_parallel_rows(self, tiny_profile):
-        spec = self._parallel_spec(tiny_profile, fidelity="analytical",
-                                   strict_parallel=True)
-        configs = spec.configs()
-        for (procs, _), config in configs.items():
-            assert spec.analytical_refused(config) == (procs > 1)
-        # Multiprogramming rows (single cluster) are never refused.
-        multi = _spec(tiny_profile, fidelity="analytical",
-                      strict_parallel=True)
-        assert not any(multi.analytical_refused(c)
-                       for c in multi.configs().values())
-
-    def test_refused_rows_keep_exact_point_keys(self, tiny_profile):
-        """A refused row resolves exactly, so it must be cached under
-        the exact key -- mutually warm with ordinary fused sweeps and
-        never serving a stale prediction."""
-        strict = self._parallel_spec(tiny_profile, fidelity="analytical",
-                                     strict_parallel=True)
-        exact = self._parallel_spec(tiny_profile, instrument=False)
-        for point, config in strict.configs().items():
-            key = strict.point_key(config)
-            if strict.analytical_refused(config):
-                assert key == exact.point_key(config)
-                assert "fidelity=analytical" not in key
-            else:
-                assert f"|model=v{MODEL_VERSION}" in key
-
-    def test_strict_parallel_is_identity(self, tiny_profile):
-        plain = self._parallel_spec(tiny_profile, fidelity="analytical")
-        strict = self._parallel_spec(tiny_profile, fidelity="analytical",
-                                     strict_parallel=True)
-        assert plain.signature() != strict.signature()
-        assert strict.describe()["strict_parallel"] is True
-        assert "strict_parallel" not in plain.describe()
-
-    def test_session_resolves_refused_rows_exactly(self, tmp_path,
-                                                   tiny_profile):
-        trace_cache = TraceCache(tmp_path / "traces")
-        cache = ResultCache(tmp_path / "results")
-        spec = self._parallel_spec(tiny_profile, fidelity="analytical",
-                                   strict_parallel=True)
-        session = SweepSession(spec, cache=cache,
-                               trace_cache=trace_cache)
-        result = session.run()
-        assert len(result.sweep) == len(spec.configs())
-        refused = sum(1 for c in spec.configs().values()
-                      if spec.analytical_refused(c))
-        assert refused > 0
-        assert session.counters["analytical"] == \
-            len(spec.configs()) - refused
-
-        # Refused rows match a plain exact sweep bit-for-bit.
-        exact = self._parallel_spec(tiny_profile, instrument=False)
-        exact_result = run_sweep(exact, cache=cache,
-                                 trace_cache=trace_cache)
-        for point, config in spec.configs().items():
-            if spec.analytical_refused(config):
-                assert result.sweep[point].as_dict() == \
-                    exact_result[point].as_dict()
-
-    def test_wire_round_trip_preserves_new_fields(self, tiny_profile):
-        spec = SweepSpec.parallel(
-            "mp3d", profile=tiny_profile, ladder=(4 * KB,), procs=(1,),
-            fidelity="analytical", instrument=False,
-            strict_parallel=True,
-            variants=(("associativity", 2), ("protocol", "mesi")))
-        clone = SweepSpec.from_wire(spec.to_wire())
-        assert clone == spec
-        assert clone.strict_parallel
-        assert clone.variants == (("associativity", 2),
-                                  ("protocol", "mesi"))

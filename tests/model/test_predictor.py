@@ -211,13 +211,6 @@ class TestParallelFidelityGuard:
             warnings.simplefilter("error")
             predict_point(profile, config)
 
-    def test_strict_parallel_raises(self, monkeypatch):
-        from repro.model import ParallelFidelityError
-        self._reset_warning(monkeypatch)
-        profile, config = self._parallel_profile()
-        with pytest.raises(ParallelFidelityError, match="known-bad"):
-            predict_point(profile, config, strict_parallel=True)
-
     def test_single_processor_rows_stay_silent(self, monkeypatch):
         self._reset_warning(monkeypatch)
         streams = {0: encode_events([Read(i * 16) for i in range(8)]),
@@ -229,4 +222,4 @@ class TestParallelFidelityGuard:
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            predict_point(profile, config, strict_parallel=True)
+            predict_point(profile, config)

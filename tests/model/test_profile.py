@@ -214,10 +214,15 @@ class TestRowProfile:
         assert cache.get("row") is None
         cache.put("row", profile)
         assert cache.get("row").as_dict() == profile.as_dict()
-        for path in tmp_path.glob("*.json"):
-            path.write_text("{not json")
-        assert cache.get("row") is None         # discarded, not raised
-        assert not list(tmp_path.glob("*.json"))
+        # Torn writes and valid JSON of the wrong shape alike are
+        # discarded (deleted, then rebuilt by the caller), not raised.
+        for text in ("{not json", "[]", "null", "3", '"x"',
+                     json.dumps({"model_version": MODEL_VERSION})):
+            cache.put("row", profile)
+            for path in tmp_path.glob("*.json"):
+                path.write_text(text)
+            assert cache.get("row") is None, text
+            assert not list(tmp_path.glob("*.json")), text
 
 
 # ----------------------------------------------------------------------

@@ -59,12 +59,12 @@ class TestFunnelEvaluator:
             "analytical", "multiprogramming", 2) == "analytical"
         assert evaluator._effective_tier("fused", "mp3d", 2) == "fused"
 
-    def test_analytical_specs_carry_strict_parallel(self, evaluator):
+    def test_analytical_specs_are_uninstrumented(self, evaluator):
         spec = evaluator._build_spec("mp3d", 1, (4 * KB,), (),
                                      "analytical")
-        assert spec.strict_parallel and not spec.instrument
+        assert spec.fidelity == "analytical" and not spec.instrument
         exact = evaluator._build_spec("mp3d", 2, (4 * KB,), (), "fused")
-        assert not exact.strict_parallel and exact.instrument
+        assert exact.fidelity == "fused" and exact.instrument
 
     def test_evaluation_scores_and_memoizes(self, evaluator):
         candidates = [Candidate(1, 32 * KB), Candidate(2, 32 * KB)]

@@ -15,9 +15,8 @@ from repro.core.config import SystemConfig
 from repro.simulation import run_simulation
 from repro.trace.interleave import (DeadlockError, SyncProtocolError,
                                     fused_replay_ok)
-from repro.trace.multiconfig import (MissSurfacePoint, fused_ladder_results,
-                                     fused_ladder_supported,
-                                     per_process_miss_surface)
+from repro.trace.multiconfig import (fused_ladder_results,
+                                     fused_ladder_supported)
 from repro.trace.packed import (OP_BARRIER, OP_COMPUTE, OP_DEQUEUE,
                                 OP_ENQUEUE, OP_IFETCH, OP_LOCK_ACQ,
                                 OP_LOCK_REL, OP_READ, OP_READ_SPAN,
@@ -272,59 +271,3 @@ class TestNativeLadderErrorParity:
         result = run_tape(tape, "fused-native")
         assert result.error[0] == "ValueError"
         assert result.engine_used == "native"
-
-
-# ----------------------------------------------------------------------
-# Miss-surface mode (parallel workloads)
-# ----------------------------------------------------------------------
-
-class TestMissSurface:
-    def make_streams(self):
-        return {
-            0: array("q", [OP_READ, 0, OP_READ, 1024, OP_READ, 0,
-                           OP_WRITE, 64, OP_COMPUTE, 5]),
-            1: array("q", [OP_READ_SPAN, 0, 256, 16,
-                           OP_WRITE_SPAN, 0, 256, 16]),
-        }
-
-    def test_counts_and_inclusion(self):
-        config = uni_config(512)
-        surface = per_process_miss_surface(config, SIZES,
-                                           self.make_streams())
-        assert set(surface) == {0, 1}
-        point = surface[0][512]
-        assert point.reads == 3 and point.writes == 1
-        # Addresses 0 and 1024 share a set below 2 KB (their line numbers
-        # 0 and 64 mask to the same index): read 0 misses, 1024 misses
-        # and evicts it, 0 misses again.
-        assert point.read_misses == 3
-        # At 2 KB (128 lines) they coexist: two cold read misses only.
-        assert surface[0][2048].read_misses == 2
-        # Monotone non-increasing misses up the ladder (inclusion).
-        for proc in surface:
-            rates = [surface[proc][size].read_misses
-                     + surface[proc][size].write_misses
-                     for size in SIZES]
-            assert rates == sorted(rates, reverse=True)
-
-    def test_span_writes_hit_after_reads(self):
-        surface = per_process_miss_surface(uni_config(512), [512],
-                                           self.make_streams())
-        point = surface[1][512]
-        # The write span re-touches the lines the read span installed.
-        assert point.reads == 16 and point.writes == 16
-        assert point.read_misses == 16 and point.write_misses == 0
-        assert point.miss_rate == pytest.approx(0.5)
-
-    def test_point_math(self):
-        point = MissSurfacePoint(reads=0, writes=0, read_misses=0,
-                                 write_misses=0)
-        assert point.miss_rate == 0.0
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            per_process_miss_surface(uni_config(), [768],
-                                     self.make_streams())
-        with pytest.raises(ValueError):
-            per_process_miss_surface(uni_config(), [],
-                                     self.make_streams())
